@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "checker/codegen.h"
@@ -46,8 +47,9 @@ int main(int argc, char** argv) {
       demo = true;
       tlm_mode = true;
     } else if (arg == "--clock" && i + 1 < argc) {
-      options.clock_period_ns = std::strtoull(argv[++i], nullptr, 10);
-      if (options.clock_period_ns == 0) return usage();
+      const std::optional<uint64_t> clock = parse_u64(argv[++i]);
+      if (!clock || *clock == 0) return usage();
+      options.clock_period_ns = *clock;
     } else if (arg == "--abstract" && i + 1 < argc) {
       for (const std::string& sig : split_and_trim(argv[++i], ',')) {
         options.abstracted_signals.insert(sig);

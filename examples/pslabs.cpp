@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -40,8 +41,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--clock" && i + 1 < argc) {
-      options.clock_period_ns = std::strtoull(argv[++i], nullptr, 10);
-      if (options.clock_period_ns == 0) return usage();
+      const std::optional<uint64_t> clock = parse_u64(argv[++i]);
+      if (!clock || *clock == 0) return usage();
+      options.clock_period_ns = *clock;
     } else if (arg == "--abstract" && i + 1 < argc) {
       for (const std::string& sig : split_and_trim(argv[++i], ',')) {
         options.abstracted_signals.insert(sig);

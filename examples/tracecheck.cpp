@@ -9,13 +9,19 @@
 // with Methodology III.1 (using --clock and --abstract) and checked through
 // the Sec. IV wrapper.
 //
-// Exit code 0 when every property holds, 1 on failures, 2 on usage errors.
+// Exit code 0 when every property holds, 1 on failures, 2 on usage errors
+// (including a checked property or guard that names a signal missing from
+// the trace header).
 // Run with --demo for a self-contained demonstration.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "checker/checker.h"
 #include "checker/trace_io.h"
@@ -46,12 +52,31 @@ int usage() {
   return 2;
 }
 
+// Usage error for properties that name signals the trace lacks.
+int unknown_signals(const std::set<std::string>& missing) {
+  const std::string names =
+      join(std::vector<std::string>(missing.begin(), missing.end()), ", ");
+  std::fprintf(stderr,
+               "tracecheck: unknown signal(s) not in the trace header: %s\n",
+               names.c_str());
+  return 2;
+}
+
 std::string slurp(const std::string& path, bool& ok) {
   std::ifstream in(path);
   ok = static_cast<bool>(in);
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+// Adds the signals `e` names that the trace does not carry to `missing`.
+void note_missing(const psl::ExprPtr& e, const checker::MapContext& row,
+                  std::set<std::string>& missing) {
+  if (e == nullptr) return;
+  for (const std::string& sig : psl::referenced_signals(e)) {
+    if (!row.has(sig)) missing.insert(sig);
+  }
 }
 
 }  // namespace
@@ -71,8 +96,9 @@ int main(int argc, char** argv) {
       demo = true;
       tlm_mode = true;
     } else if (arg == "--clock" && i + 1 < argc) {
-      options.clock_period_ns = std::strtoull(argv[++i], nullptr, 10);
-      if (options.clock_period_ns == 0) return usage();
+      const std::optional<uint64_t> clock = parse_u64(argv[++i]);
+      if (!clock || *clock == 0) return usage();
+      options.clock_period_ns = *clock;
     } else if (arg == "--abstract" && i + 1 < argc) {
       for (const std::string& sig : split_and_trim(argv[++i], ',')) {
         options.abstracted_signals.insert(sig);
@@ -115,6 +141,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Every row carries every header signal, so the first row stands for the
+  // header; a trace without rows evaluates nothing.
+  const checker::Trace& rows = trace.value();
+  std::set<std::string> missing;
   bool all_ok = true;
   if (tlm_mode) {
     std::vector<std::unique_ptr<checker::TlmCheckerWrapper>> wrappers;
@@ -126,10 +156,15 @@ int main(int argc, char** argv) {
       }
       std::printf("%-8s %s\n", p.name.c_str(),
                   psl::to_string(*outcome.property).c_str());
+      if (!rows.empty()) {
+        note_missing(outcome.property->formula, rows[0].values, missing);
+        note_missing(outcome.property->context.guard, rows[0].values, missing);
+      }
       wrappers.push_back(std::make_unique<checker::TlmCheckerWrapper>(
           *outcome.property, options.clock_period_ns));
     }
-    for (const checker::Observation& o : trace.value()) {
+    if (!missing.empty()) return unknown_signals(missing);
+    for (const checker::Observation& o : rows) {
       for (auto& w : wrappers) w->on_transaction(o.time, o.values);
     }
     for (auto& w : wrappers) {
@@ -145,10 +180,15 @@ int main(int argc, char** argv) {
   } else {
     std::vector<std::unique_ptr<checker::PropertyChecker>> checkers;
     for (const psl::RtlProperty& p : properties.value()) {
+      if (!rows.empty()) {
+        note_missing(p.formula, rows[0].values, missing);
+        note_missing(p.context.guard, rows[0].values, missing);
+      }
       checkers.push_back(std::make_unique<checker::PropertyChecker>(
           p.name, p.formula, p.context.guard));
     }
-    for (const checker::Observation& o : trace.value()) {
+    if (!missing.empty()) return unknown_signals(missing);
+    for (const checker::Observation& o : rows) {
       for (auto& c : checkers) c->on_event(o.time, o.values);
     }
     for (auto& c : checkers) {

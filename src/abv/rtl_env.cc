@@ -109,22 +109,22 @@ void RtlAbvEnv::sample(bool rising) {
   // this edge (was: each checker pulled every signal through the bag's
   // getters independently).
   signals_.sample_into(sample_buffer_);
-  if (record_writer_ != nullptr) {
-    // Each evaluation point becomes one record; replay feeds the same
-    // (time, edge, snapshot) triples back through on_sample.
-    tlm::TransactionRecord record;
-    record.start = now;
-    record.end = now;
-    record.command = tlm::Command::kRead;
-    record.address = rising ? 0 : 1;
-    record.observables = sample_buffer_;
-    record_writer_->append(record);
-  }
   on_sample(now, rising, sample_buffer_);
 }
 
 void RtlAbvEnv::on_sample(psl::TimeNs now, bool rising,
                           const tlm::Snapshot& values) {
+  if (record_writer_ != nullptr) {
+    // Each evaluation point becomes one record; replay feeds the same
+    // (time, edge, snapshot) triples back through on_records.
+    tlm::TransactionRecord record;
+    record.start = now;
+    record.end = now;
+    record.command = tlm::Command::kRead;
+    record.address = rising ? 0 : 1;
+    record.observables = values;
+    record_writer_->append(record);
+  }
   const ObservablesContext ctx(values);
   for (size_t i = 0; i < checkers_.size(); ++i) {
     const psl::ClockContext::Kind kind = kinds_[i];
@@ -134,6 +134,13 @@ void RtlAbvEnv::on_sample(psl::TimeNs now, bool rising,
                     kind == psl::ClockContext::Kind::kTrue)) ||
         (!rising && kind == psl::ClockContext::Kind::kClkNeg);
     if (wants) checkers_[i]->on_event(now, ctx);
+  }
+}
+
+void RtlAbvEnv::on_records(const tlm::TransactionRecord* begin,
+                           const tlm::TransactionRecord* end) {
+  for (const tlm::TransactionRecord* r = begin; r != end; ++r) {
+    on_sample(r->end, r->address == 0, r->observables);
   }
 }
 

@@ -108,16 +108,20 @@ class RtlAbvEnv {
   // add_property calls and before the simulation runs.
   void attach(sim::Clock& clock);
 
-  // One settled clock-edge evaluation point: dispatches `values` to every
-  // checker selected at that edge kind. attach()'s sampling callbacks land
-  // here; offline replay (support::tracelog) calls it directly with recorded
-  // snapshots, no clock or live design needed.
+  // One settled clock-edge evaluation point: logs it to the record writer,
+  // if any, and dispatches `values` to every checker selected at that edge
+  // kind. attach()'s sampling callbacks land here; offline replay calls it
+  // with recorded snapshots, no clock or live design needed.
   void on_sample(psl::TimeNs now, bool rising, const tlm::Snapshot& values);
 
-  // Trace-log writer serializing the sampled edge stream (--record-out) as
-  // one record per evaluation point: start = end = edge time, address 0 for
-  // rising / 1 for falling, observables = the settled snapshot. Must outlive
-  // the environment; nullptr disables.
+  // on_sample for each replayed edge record (layout: set_record_writer).
+  void on_records(const tlm::TransactionRecord* begin,
+                  const tlm::TransactionRecord* end);
+
+  // Trace-log writer serializing the evaluated edge stream (--record-out)
+  // as one record per evaluation point: start = end = edge time, address 0
+  // for rising / 1 for falling, observables = the settled snapshot. Must
+  // outlive the environment; nullptr disables.
   void set_record_writer(support::tracelog::TraceWriter* writer) {
     record_writer_ = writer;
   }

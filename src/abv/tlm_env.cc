@@ -75,16 +75,6 @@ void TlmAbvEnv::bind() {
   }
 }
 
-void TlmAbvEnv::attach(tlm::TransactionRecorder& recorder) {
-  bind();
-  recorder.subscribe(
-      [this](const tlm::TransactionRecord& record) { on_record(record); });
-}
-
-void TlmAbvEnv::on_record(const tlm::TransactionRecord& record) {
-  engine_->on_record(record);
-}
-
 void TlmAbvEnv::on_records(const tlm::TransactionRecord* begin,
                            const tlm::TransactionRecord* end) {
   engine_->on_records(begin, end);
@@ -95,7 +85,7 @@ void TlmAbvEnv::finish() {
     engine_->finish();
     return;
   }
-  // Never attached: retire directly (nothing was ever dispatched).
+  // Never bound: retire directly (nothing was ever dispatched).
   for (auto& wrapper : wrappers_) wrapper->finish();
   for (auto& checker : checkers_) checker->finish();
 }

@@ -1,7 +1,9 @@
 // TLM dynamic ABV environment.
 //
-// Subscribes to a TransactionRecorder and drives, at the end of each
-// transaction (the basic transaction context Tb):
+// Consumes the completed-transaction stream of a tlm::RecordSource (live
+// simulation or trace-log replay), span by span through on_records, and
+// drives, at the end of each transaction (the basic transaction context
+// Tb):
 //   - TlmCheckerWrappers for properties abstracted with Methodology III.1
 //     (the intended use, Sec. IV), and
 //   - plain PropertyCheckers for unabstracted RTL properties replayed at
@@ -27,7 +29,7 @@
 #include "support/coverage.h"
 #include "support/metrics.h"
 #include "support/trace_sink.h"
-#include "tlm/recorder.h"
+#include "tlm/transaction.h"
 
 namespace repro::abv {
 
@@ -44,7 +46,7 @@ class TlmAbvEnv {
   }
 
   // Replaces the full engine knob group (jobs, batch size, in-flight
-  // bound); must be called before attach(). The struct is handed to the
+  // bound); must be called before bind(). The struct is handed to the
   // EvalEngine verbatim.
   void set_engine_config(const EngineConfig& config) {
     engine_config_ = config;
@@ -64,7 +66,7 @@ class TlmAbvEnv {
   }
   size_t batch_size() const { return engine_config_.batch_size; }
 
-  // Failure-witness ring depth applied to every wrapper at attach() (0
+  // Failure-witness ring depth applied to every wrapper at bind() (0
   // disables witness capture).
   void set_witness_depth(size_t depth) { witness_depth_ = depth; }
   size_t witness_depth() const { return witness_depth_; }
@@ -85,13 +87,13 @@ class TlmAbvEnv {
   // JSONL metrics/coverage snapshot stream (--metrics-out): one compact line
   // every `interval_records` records plus an exact final line at finish().
   // Must outlive the environment; nullptr (default) disables streaming.
-  // Call before attach().
+  // Call before bind().
   void set_metrics_output(std::ostream* os, size_t interval_records) {
     metrics_out_ = os;
     metrics_interval_ = interval_records;
   }
 
-  // Live per-property coverage table: attach() wires one row per registered
+  // Live per-property coverage table: bind() wires one row per registered
   // property into its wrapper/checker, so the table tracks the run as it
   // happens (exact after finish()).
   const support::CoverageTable& coverage() const { return coverage_; }
@@ -121,22 +123,18 @@ class TlmAbvEnv {
   // any, carries over.
   void add_rtl_property(const psl::RtlProperty& property);
 
-  // Builds the evaluation engine over the registered properties without
-  // subscribing to anything; records then arrive through on_records (the
-  // pull-based RecordSource drain loop). Call after all add_* and config
-  // calls.
+  // Builds the evaluation engine over the registered properties; records
+  // then arrive through on_records (the RecordSource drain loop). Call
+  // after all add_* and config calls.
   void bind();
 
-  // bind() plus a recorder subscription — the push-based hookup.
-  void attach(tlm::TransactionRecorder& recorder);
-
-  // Bulk ingest for pull-based sources; requires bind() or attach() first.
-  // Spans feed the engine exactly like subscribed delivery does.
+  // Feeds one span of completed transactions to the engine; requires
+  // bind() first.
   void on_records(const tlm::TransactionRecord* begin,
                   const tlm::TransactionRecord* end);
 
   // Trace-log writer serializing the ingested stream (--record-out); must
-  // outlive the environment. Call before bind()/attach(). nullptr disables.
+  // outlive the environment. Call before bind(). nullptr disables.
   void set_record_writer(support::tracelog::TraceWriter* writer) {
     record_writer_ = writer;
   }
@@ -146,11 +144,11 @@ class TlmAbvEnv {
   Report report() const;
   bool all_ok() const;
 
-  // Metrics registry backing the evaluation engine; created by attach()
+  // Metrics registry backing the evaluation engine; created by bind()
   // (nullptr before). Callers may add their own gauges (lane 0) before
   // taking a snapshot.
   support::MetricsRegistry* metrics() { return metrics_.get(); }
-  // Deterministic merged view; empty when never attached.
+  // Deterministic merged view; empty when never bound.
   support::MetricsSnapshot metrics_snapshot() const;
 
   const std::vector<std::unique_ptr<checker::TlmCheckerWrapper>>& wrappers() const {
@@ -158,7 +156,6 @@ class TlmAbvEnv {
   }
 
  private:
-  void on_record(const tlm::TransactionRecord& record);
   // Verdict of the live wrapper/checker named `name`; `found` reports
   // whether one exists (derived rows are not consulted).
   bool live_ok(const std::string& name, bool& found) const;
@@ -178,8 +175,8 @@ class TlmAbvEnv {
   std::vector<analysis::PruneDecision> audited_;  // spawned for cross-check
   std::vector<std::unique_ptr<checker::TlmCheckerWrapper>> wrappers_;
   std::vector<std::unique_ptr<checker::PropertyChecker>> checkers_;
-  std::unique_ptr<support::MetricsRegistry> metrics_;  // built by attach()
-  std::unique_ptr<EvalEngine> engine_;                 // built by attach()
+  std::unique_ptr<support::MetricsRegistry> metrics_;  // built by bind()
+  std::unique_ptr<EvalEngine> engine_;                 // built by bind()
 };
 
 }  // namespace repro::abv

@@ -1,9 +1,7 @@
 #include "models/testbench.h"
 
-#include <cassert>
 #include <chrono>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "models/properties.h"
 #include "models/stimulus.h"
 #include "sim/clock.h"
-#include "support/metrics.h"
 #include "support/trace_sink.h"
 #include "support/tracelog.h"
 #include "tlm/record_source.h"
@@ -58,102 +55,60 @@ bool abv_enabled(const RunConfig& config) {
          !config.extra_properties.empty();
 }
 
-checker::CheckerOptions checker_options(const RunConfig& config) {
-  checker::CheckerOptions options;
-  options.compiled = config.compiled_checkers;
-  options.vectorized = config.engine.vectorized;
-  options.failure_log_cap = config.observability.failure_log_cap;
-  return options;
+// Whether this run checks the abstracted TLM formulas (the normal TLM-AT
+// flow, basic transaction context). RTL, TLM-CA and the unabstracted-replay
+// ablation check the original RTL formulas (clock-edge context). Property
+// registration, pruning and static analysis all follow this one rule.
+bool checks_abstracted(const RunConfig& config) {
+  return config.level == Level::kTlmAt &&
+         !config.abstraction.at_replay_unabstracted;
 }
 
-// Observability outputs opened for one TLM run. Both streams (may be null)
-// must stay alive until the end of the run: the sink's destructor writes the
-// trace file, and the engine holds a raw pointer to the metrics stream until
-// finish() emits the final snapshot line.
-struct TlmOutputs {
-  std::unique_ptr<support::TraceSink> trace;
-  std::unique_ptr<std::ofstream> metrics;
+// The properties one run checks, in registration order: the selected RTL
+// formulas, or their abstractions when checks_abstracted, with the ones the
+// Fig. 4 rules delete counted instead of kept. Empty when ABV is disabled.
+// The prune plan and both check pipelines all read this one list.
+struct CheckedProperties {
+  std::vector<psl::RtlProperty> rtl;
+  std::vector<psl::TlmProperty> tlm;
+  size_t deleted = 0;
 };
 
-// Applies the engine and observability knob groups shared by every TLM
-// runner.
-TlmOutputs configure_tlm_env(abv::TlmAbvEnv& env, const RunConfig& config) {
-  env.set_engine_config(config.engine);
-  env.set_witness_depth(config.observability.witness_depth);
-  env.set_checker_options(checker_options(config));
-  TlmOutputs out;
-  if (!config.observability.trace_path.empty()) {
-    out.trace =
-        std::make_unique<support::TraceSink>(config.observability.trace_path);
-    env.set_trace_sink(out.trace.get());
+CheckedProperties select_checked(const RunConfig& config,
+                                 const PropertySuite& suite) {
+  CheckedProperties out;
+  if (!abv_enabled(config)) return out;
+  if (!checks_abstracted(config)) {
+    out.rtl = pick(suite, config);
+    return out;
   }
-  if (!config.observability.metrics_path.empty()) {
-    out.metrics =
-        std::make_unique<std::ofstream>(config.observability.metrics_path);
-    env.set_metrics_output(out.metrics.get(),
-                           config.observability.metrics_interval);
+  rewrite::AbstractionOptions options;
+  options.clock_period_ns = suite.clock_period_ns;
+  options.abstracted_signals = suite.abstracted_signals;
+  options.push_mode = config.abstraction.push_mode;
+  for (const psl::RtlProperty& p : pick(suite, config)) {
+    rewrite::AbstractionOutcome outcome = rewrite::abstract_property(p, options);
+    if (outcome.deleted()) {
+      ++out.deleted;
+    } else {
+      out.tlm.push_back(*outcome.property);
+    }
   }
   return out;
 }
 
-// Copies the environment's merged metrics into the result and adds the sim
-// kernel gauges on top (also the only metrics present at RTL / without ABV).
-void record_sim_metrics(RunResult& result, support::MetricsSnapshot base) {
-  result.metrics = std::move(base);
-  result.metrics.gauges["sim.kernel_events"] = result.kernel_events;
-  result.metrics.gauges["sim.delta_cycles"] = result.delta_cycles;
-  result.metrics.gauges["sim.transactions"] = result.transactions;
-  result.metrics.gauges["sim.wall_ns"] =
-      static_cast<uint64_t>(result.wall_seconds * 1e9);
-}
-
-// Prune plan prepared once per run and handed (by reference) to the level
-// runner. `active` is false when pruning is off or ABV is disabled; `audit`
-// selects the AnalysisMode::kError cross-check (pruned properties still run
-// and every derived verdict is compared against the real one, PRN003).
+// Prune plan prepared once per run over the checked formulas. `active` is
+// false when pruning is off or ABV is disabled; `audit` selects the
+// AnalysisMode::kError cross-check (pruned properties still run and every
+// derived verdict is compared against the real one, PRN003).
 struct PrunePrep {
   analysis::PrunePlan plan;
   bool active = false;
   bool audit = false;
 };
 
-template <typename Env>
-void collect_prune_audit(const Env& env, const PrunePrep& prune,
-                         RunResult& result) {
-  if (!prune.active || !prune.audit) return;
-  std::vector<analysis::Diagnostic> diags = env.prune_cross_check();
-  result.analysis_diagnostics.insert(result.analysis_diagnostics.end(),
-                                     std::make_move_iterator(diags.begin()),
-                                     std::make_move_iterator(diags.end()));
-}
-
-// Abstracts the selected properties for TLM-AT; returns the non-deleted ones
-// and counts deletions.
-std::vector<psl::TlmProperty> abstract_for_at(const RunConfig& config,
-                                              const PropertySuite& suite,
-                                              size_t& deleted) {
-  rewrite::AbstractionOptions options;
-  options.clock_period_ns = suite.clock_period_ns;
-  options.abstracted_signals = suite.abstracted_signals;
-  options.push_mode = config.abstraction.push_mode;
-  std::vector<psl::TlmProperty> out;
-  deleted = 0;
-  for (const psl::RtlProperty& p : pick(suite, config)) {
-    rewrite::AbstractionOutcome outcome = rewrite::abstract_property(p, options);
-    if (outcome.deleted()) {
-      ++deleted;
-    } else {
-      out.push_back(*outcome.property);
-    }
-  }
-  return out;
-}
-
-// Builds the prune plan over the formulas this run will actually check: the
-// RTL formulas for RTL / TLM-CA / the unabstracted-replay ablation
-// (clock-edge context keys), the abstracted TLM formulas for the normal
-// TLM-AT flow (basic transaction context).
-PrunePrep prepare_prune(const RunConfig& config, const PropertySuite& suite) {
+PrunePrep prepare_prune(const RunConfig& config,
+                        const CheckedProperties& checked) {
   PrunePrep prep;
   prep.plan.mode = config.analysis.prune;
   if (config.analysis.prune == analysis::PruneMode::kOff ||
@@ -161,16 +116,11 @@ PrunePrep prepare_prune(const RunConfig& config, const PropertySuite& suite) {
     return prep;
   }
   std::vector<analysis::PruneInput> inputs;
-  if (config.level == Level::kTlmAt &&
-      !config.abstraction.at_replay_unabstracted) {
-    size_t deleted = 0;
-    for (const psl::TlmProperty& q : abstract_for_at(config, suite, deleted)) {
-      inputs.push_back(analysis::make_prune_input(q));
-    }
-  } else {
-    for (const psl::RtlProperty& p : pick(suite, config)) {
-      inputs.push_back(analysis::make_prune_input(p));
-    }
+  for (const psl::TlmProperty& q : checked.tlm) {
+    inputs.push_back(analysis::make_prune_input(q));
+  }
+  for (const psl::RtlProperty& p : checked.rtl) {
+    inputs.push_back(analysis::make_prune_input(p));
   }
   analysis::SymbolicPruneOptions symbolic;
   symbolic.enabled = config.analysis.symbolic_budget > 0;
@@ -183,604 +133,530 @@ PrunePrep prepare_prune(const RunConfig& config, const PropertySuite& suite) {
   return prep;
 }
 
-// Trace-log recording prepared once per runner (IngestConfig.record_path).
-// The meta block names this run's stream identity; the observable dictionary
-// is adopted from the first record so the producing model's key-table order
-// is preserved verbatim (witness byte-identity depends on it).
-struct IngestPrep {
+// Output streams of one run, each null when off and open until the run
+// ends. The trace-log writer records the stream identity `meta` and adopts
+// the observable dictionary from the first record, keeping the model's
+// key-table order (witness byte-identity depends on it). TLM runs add the
+// trace sink (written by its destructor) and the metrics stream.
+struct Outputs {
   tlm::RecordStreamMeta meta;
   std::unique_ptr<support::tracelog::TraceWriter> writer;
+  std::unique_ptr<support::TraceSink> trace;
+  std::unique_ptr<std::ofstream> metrics;
 };
 
-IngestPrep prepare_ingest(const RunConfig& config) {
-  IngestPrep prep;
-  prep.meta.design = to_string(config.design);
-  prep.meta.level = to_string(config.level);
-  prep.meta.clock_period_ns = config.clock_period_ns;
+Outputs open_outputs(const RunConfig& config, bool tlm) {
+  Outputs out;
+  out.meta.design = to_string(config.design);
+  out.meta.level = to_string(config.level);
+  out.meta.clock_period_ns = config.clock_period_ns;
   if (!config.ingest.record_path.empty()) {
-    prep.writer = std::make_unique<support::tracelog::TraceWriter>(
-        config.ingest.record_path, prep.meta);
+    out.writer = std::make_unique<support::tracelog::TraceWriter>(
+        config.ingest.record_path, out.meta);
   }
-  return prep;
+  if (tlm && !config.observability.trace_path.empty()) {
+    out.trace =
+        std::make_unique<support::TraceSink>(config.observability.trace_path);
+  }
+  if (tlm && !config.observability.metrics_path.empty()) {
+    out.metrics =
+        std::make_unique<std::ofstream>(config.observability.metrics_path);
+  }
+  return out;
 }
 
-void finish_ingest(IngestPrep& ingest, RunResult& result) {
-  if (ingest.writer != nullptr && !ingest.writer->finish()) {
-    result.ingest_error = ingest.writer->error();
-  }
-}
+// ---- Model adapters ----------------------------------------------------------
+//
+// An adapter builds one design x level model and its driver on a private
+// kernel and nothing else: the check pipelines below own the environment,
+// the run loop and the RunResult. After the run the adapter reports the
+// driver's self-check. Adapters capture `this` in kernel callbacks, so they
+// live behind a unique_ptr and never move.
 
-// Runs a live TLM simulation to completion. With a consumer (checkers or a
-// record writer) the kernel is stepped through a LiveRecordSource and the
-// completed transactions are drained span by span into the environment —
-// the pull-based ingest path; the record stream (and therefore every
-// verdict) is identical to the historical push-based subscription. Without
-// a consumer the kernel just runs (the recorder stays inactive, so targets
-// skip snapshot materialization).
-void run_live_tlm(sim::Kernel& kernel, tlm::TransactionRecorder& recorder,
-                  abv::TlmAbvEnv& env, const IngestPrep& ingest, bool pull) {
-  if (pull) {
-    tlm::LiveRecordSource source(kernel, recorder, ingest.meta, kForever);
-    for (tlm::RecordSpan span = source.next(); !span.empty();
-         span = source.next()) {
-      env.on_records(span.begin, span.end);
-    }
-  } else {
-    kernel.run(kForever);
-  }
-  env.finish();
-}
+struct Model {
+  Model() = default;
+  Model(const Model&) = delete;
+  Model& operator=(const Model&) = delete;
+  virtual ~Model() = default;
 
-// ---- DES56 -----------------------------------------------------------------
+  virtual size_t ops_completed() const = 0;
+  virtual size_t mismatches() const = 0;
 
-RunResult run_des56_rtl(const RunConfig& config, const PropertySuite& suite,
-                        const PrunePrep& prune) {
   sim::Kernel kernel;
-  sim::Clock clock(kernel, "clk", config.clock_period_ns, 0);
-  Des56Rtl duv(kernel, clock);
-  sim::Signal<bool> monitor_en(kernel, "monitor_en", true);
+  size_t ops_expected = 0;  // DES56 operations or ColorConv pixels issued
+};
 
-  const std::vector<DesOp> ops = make_des_ops(config.workload, config.seed);
-  Des56DriverModel driver(ops);
-  clock.on_negedge([&] {
-    if (driver.done()) {
-      kernel.stop();
-      return;
-    }
-    const Des56Inputs in = driver.tick(duv.rdy.read(), duv.out.read());
-    duv.ds.write(in.ds);
-    if (in.ds) {
-      duv.indata.write(in.indata);
-      duv.key.write(in.key);
-      duv.decrypt.write(in.decrypt);
-    }
-  });
+// TLM models report every completed transaction to `recorder`; `period`
+// is the reference clock their initiators schedule on.
+struct TlmModel : Model {
+  explicit TlmModel(sim::Time period) : period(period) {}
 
+  tlm::TransactionRecorder recorder{kernel};
+  const sim::Time period;
+};
+
+// RTL models run on `clock` and expose their observables in `bag`.
+struct RtlModel : Model {
+  explicit RtlModel(sim::Time period) : clock(kernel, "clk", period, 0) {}
+
+  sim::Clock clock;
   abv::SignalBag bag;
-  duv.register_signals(bag);
-  bag.add("monitor_en", monitor_en);
-  IngestPrep ingest = prepare_ingest(config);
-  abv::RtlAbvEnv env(kernel, bag);
-  env.set_checker_options(checker_options(config));
-  if (ingest.writer != nullptr) env.set_record_writer(ingest.writer.get());
-  if (prune.active) env.set_prune_plan(&prune.plan, prune.audit);
-  if (abv_enabled(config)) {
-    for (const psl::RtlProperty& p : pick(suite, config)) {
-      env.add_property(p);
-    }
+};
+
+class Des56RtlAdapter final : public RtlModel {
+ public:
+  explicit Des56RtlAdapter(const RunConfig& config)
+      : RtlModel(config.clock_period_ns),
+        duv_(kernel, clock),
+        monitor_en_(kernel, "monitor_en", true),
+        ops_(make_des_ops(config.workload, config.seed)),
+        driver_(ops_) {
+    ops_expected = ops_.size();
+    clock.on_negedge([this] {
+      if (driver_.done()) {
+        kernel.stop();
+        return;
+      }
+      const Des56Inputs in = driver_.tick(duv_.rdy.read(), duv_.out.read());
+      duv_.ds.write(in.ds);
+      if (in.ds) {
+        duv_.indata.write(in.indata);
+        duv_.key.write(in.key);
+        duv_.decrypt.write(in.decrypt);
+      }
+    });
+    duv_.register_signals(bag);
+    bag.add("monitor_en", monitor_en_);
   }
-  if (abv_enabled(config) || ingest.writer != nullptr) env.attach(clock);
+  size_t ops_completed() const override { return driver_.ops_completed(); }
+  size_t mismatches() const override { return driver_.mismatches(); }
 
-  RunResult result;
-  const auto t0 = Clock::now();
-  kernel.run(kForever);
-  env.finish();
-  result.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  result.sim_end_ns = kernel.now();
-  result.kernel_events = kernel.events_executed();
-  result.delta_cycles = kernel.delta_cycles();
-  result.ops_completed = driver.ops_completed();
-  result.mismatches = driver.mismatches();
-  result.functional_ok =
-      driver.mismatches() == 0 && driver.ops_completed() == ops.size();
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
-  record_sim_metrics(result, {});
-  finish_ingest(ingest, result);
-  return result;
-}
+ private:
+  Des56Rtl duv_;
+  sim::Signal<bool> monitor_en_;
+  const std::vector<DesOp> ops_;
+  Des56DriverModel driver_;
+};
 
-RunResult run_des56_tlm_ca(const RunConfig& config, const PropertySuite& suite,
-                        const PrunePrep& prune) {
-  sim::Kernel kernel;
-  tlm::TransactionRecorder recorder(kernel);
-  Des56TlmCa target;
-  target.set_static_observable("monitor_en", 1);
-  tlm::InitiatorSocket socket(kernel, &recorder, "des56_ca");
-  socket.bind(target);
-
-  const std::vector<DesOp> ops = make_des_ops(config.workload, config.seed);
-  Des56DriverModel driver(ops);
-
-  IngestPrep ingest = prepare_ingest(config);
-  abv::TlmAbvEnv env(suite.clock_period_ns);
-  const TlmOutputs outputs = configure_tlm_env(env, config);
-  if (ingest.writer != nullptr) env.set_record_writer(ingest.writer.get());
-  if (prune.active) env.set_prune_plan(&prune.plan, prune.audit);
-  if (abv_enabled(config)) {
-    // TLM-CA rows of Table I: the original RTL properties, unabstracted,
-    // replayed on the per-cycle transaction stream.
-    for (const psl::RtlProperty& p : pick(suite, config)) {
-      env.add_rtl_property(p);
-    }
+class Des56TlmCaAdapter final : public TlmModel {
+ public:
+  explicit Des56TlmCaAdapter(const RunConfig& config)
+      : TlmModel(config.clock_period_ns),
+        socket_(kernel, &recorder, "des56_ca"),
+        ops_(make_des_ops(config.workload, config.seed)),
+        driver_(ops_) {
+    target_.set_static_observable("monitor_en", 1);
+    socket_.bind(target_);
+    ops_expected = ops_.size();
+    kernel.schedule_at(0, [this] { cycle(); });
   }
-  const bool pull = abv_enabled(config) || ingest.writer != nullptr;
-  if (pull) env.bind();
+  size_t ops_completed() const override { return driver_.ops_completed(); }
+  size_t mismatches() const override { return driver_.mismatches(); }
 
+ private:
   // Per-cycle transaction loop. Inputs at edge k+1 derive from the outputs
   // returned by the edge-k transaction, exactly like the RTL driver.
-  auto next_inputs = std::make_shared<Des56Inputs>();
-  auto payload = std::make_shared<tlm::Payload>();
-  std::function<void()> cycle = [&kernel, &socket, &driver, next_inputs, payload,
-                                 &config, &cycle] {
-    if (driver.done()) {
+  void cycle() {
+    if (driver_.done()) {
       kernel.stop();
       return;
     }
-    payload->command = tlm::Command::kWrite;
-    payload->data.assign({next_inputs->ds ? uint64_t{1} : 0, next_inputs->indata,
-                          next_inputs->key,
-                          next_inputs->decrypt ? uint64_t{1} : 0});
-    socket.transport(*payload);
-    const bool rdy = payload->data[1] != 0;
-    const uint64_t out = payload->data[0];
-    *next_inputs = driver.tick(rdy, out);
-    kernel.schedule_at(kernel.now() + config.clock_period_ns, cycle);
-  };
-  kernel.schedule_at(0, cycle);
-
-  RunResult result;
-  const auto t0 = Clock::now();
-  run_live_tlm(kernel, recorder, env, ingest, pull);
-  result.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  result.sim_end_ns = kernel.now();
-  result.kernel_events = kernel.events_executed();
-  result.delta_cycles = kernel.delta_cycles();
-  result.transactions = recorder.transactions();
-  result.ops_completed = driver.ops_completed();
-  result.mismatches = driver.mismatches();
-  result.functional_ok =
-      driver.mismatches() == 0 && driver.ops_completed() == ops.size();
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
-  record_sim_metrics(result, env.metrics_snapshot());
-  finish_ingest(ingest, result);
-  return result;
-}
-
-RunResult run_des56_tlm_at(const RunConfig& config, const PropertySuite& suite,
-                        const PrunePrep& prune) {
-  sim::Kernel kernel;
-  tlm::TransactionRecorder recorder(kernel);
-  Des56TlmAt target(kernel, &recorder, config.clock_period_ns);
-  target.set_static_observable("monitor_en", 1);
-  tlm::InitiatorSocket socket(kernel, &recorder, "des56_at");
-  socket.bind(target);
-
-  const std::vector<DesOp> ops = make_des_ops(config.workload, config.seed);
-  std::vector<uint64_t> expected;
-  expected.reserve(ops.size());
-  for (const DesOp& op : ops) {
-    expected.push_back(op.decrypt ? des_decrypt(op.indata, op.key)
-                                  : des_encrypt(op.indata, op.key));
+    payload_.command = tlm::Command::kWrite;
+    payload_.data.assign({next_.ds ? uint64_t{1} : 0, next_.indata, next_.key,
+                          next_.decrypt ? uint64_t{1} : 0});
+    socket_.transport(payload_);
+    const bool rdy = payload_.data[1] != 0;
+    next_ = driver_.tick(rdy, payload_.data[0]);
+    kernel.schedule_at(kernel.now() + period, [this] { cycle(); });
   }
 
-  RunResult result;
-  size_t deleted = 0;
-  IngestPrep ingest = prepare_ingest(config);
-  abv::TlmAbvEnv env(suite.clock_period_ns);
-  const TlmOutputs outputs = configure_tlm_env(env, config);
-  if (ingest.writer != nullptr) env.set_record_writer(ingest.writer.get());
-  if (prune.active) env.set_prune_plan(&prune.plan, prune.audit);
-  if (abv_enabled(config)) {
-    if (config.abstraction.at_replay_unabstracted) {
-      for (const psl::RtlProperty& p : pick(suite, config)) {
-        env.add_rtl_property(p);
-      }
-    } else {
-      for (const psl::TlmProperty& q : abstract_for_at(config, suite, deleted)) {
-        env.add_property(q);
-      }
+  Des56TlmCa target_;
+  tlm::InitiatorSocket socket_;
+  const std::vector<DesOp> ops_;
+  Des56DriverModel driver_;
+  Des56Inputs next_;
+  tlm::Payload payload_;
+};
+
+class Des56TlmAtAdapter final : public TlmModel {
+ public:
+  explicit Des56TlmAtAdapter(const RunConfig& config)
+      : TlmModel(config.clock_period_ns),
+        target_(kernel, &recorder, config.clock_period_ns),
+        socket_(kernel, &recorder, "des56_at"),
+        ops_(make_des_ops(config.workload, config.seed)) {
+    target_.set_static_observable("monitor_en", 1);
+    socket_.bind(target_);
+    ops_expected = ops_.size();
+    for (const DesOp& op : ops_) {
+      expected_.push_back(op.decrypt ? des_decrypt(op.indata, op.key)
+                                     : des_encrypt(op.indata, op.key));
+    }
+    if (!ops_.empty()) {
+      kernel.schedule_at((ops_[0].gap + 1) * period, [this] { submit(); });
     }
   }
-  const bool pull = abv_enabled(config) || ingest.writer != nullptr;
-  if (pull) env.bind();
-  result.properties_deleted = deleted;
+  size_t ops_completed() const override { return next_op_; }
+  size_t mismatches() const override { return mismatches_; }
 
-  const sim::Time c = config.clock_period_ns;
-  auto op_index = std::make_shared<size_t>(0);
-  auto completed = std::make_shared<size_t>(0);
-  auto mismatches = std::make_shared<size_t>(0);
-  std::function<void()> submit = [&, op_index, completed, mismatches] {
-    const size_t i = (*op_index)++;
+ private:
+  // Issues operation next_op_ as a write and a result read, checking the
+  // result at once.
+  void submit() {
+    const size_t i = next_op_++;
     tlm::Payload write;
     write.command = tlm::Command::kWrite;
-    write.data = {ops[i].indata, ops[i].key, ops[i].decrypt ? uint64_t{1} : 0};
-    socket.transport(write);
+    write.data = {ops_[i].indata, ops_[i].key, ops_[i].decrypt ? uint64_t{1} : 0};
+    socket_.transport(write);
     tlm::Payload read;
     read.command = tlm::Command::kRead;
-    const sim::Time done = socket.transport(read);
-    if (read.data.empty() || read.data[0] != expected[i]) ++(*mismatches);
-    ++(*completed);
-    if (i + 1 < ops.size()) {
+    const sim::Time done = socket_.transport(read);
+    if (read.data.empty() || read.data[0] != expected_[i]) ++mismatches_;
+    if (i + 1 < ops_.size()) {
       // Same schedule as the RTL driver: ds_{i+1} rises 18 + gap cycles
       // after ds_i.
-      kernel.schedule_at(kernel.now() + (18 + ops[i + 1].gap) * c, submit);
+      kernel.schedule_at(kernel.now() + (18 + ops_[i + 1].gap) * period,
+                         [this] { submit(); });
     } else {
-      kernel.schedule_at(done + 4 * c, [&kernel] { kernel.stop(); });
+      kernel.schedule_at(done + 4 * period, [this] { kernel.stop(); });
     }
-  };
-  if (!ops.empty()) {
-    kernel.schedule_at((ops[0].gap + 1) * c, submit);
   }
 
-  const auto t0 = Clock::now();
-  run_live_tlm(kernel, recorder, env, ingest, pull);
-  result.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  result.sim_end_ns = kernel.now();
-  result.kernel_events = kernel.events_executed();
-  result.delta_cycles = kernel.delta_cycles();
-  result.transactions = recorder.transactions();
-  result.ops_completed = *completed;
-  result.mismatches = *mismatches;
-  result.functional_ok = *mismatches == 0 && *completed == ops.size();
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
-  record_sim_metrics(result, env.metrics_snapshot());
-  finish_ingest(ingest, result);
-  return result;
-}
+  Des56TlmAt target_;
+  tlm::InitiatorSocket socket_;
+  const std::vector<DesOp> ops_;
+  std::vector<uint64_t> expected_;
+  size_t next_op_ = 0;  // also the number of completed operations
+  size_t mismatches_ = 0;
+};
 
-// ---- ColorConv --------------------------------------------------------------
+class ColorConvRtlAdapter final : public RtlModel {
+ public:
+  explicit ColorConvRtlAdapter(const RunConfig& config)
+      : RtlModel(config.clock_period_ns),
+        duv_(kernel, clock),
+        sof_(kernel, "sof", false),
+        monitor_en_(kernel, "monitor_en", true),
+        bursts_(make_cc_bursts(config.workload, config.seed)),
+        driver_(bursts_) {
+    for (const CcBurst& b : bursts_) ops_expected += b.pixels.size();
+    clock.on_negedge([this] {
+      if (driver_.done()) {
+        kernel.stop();
+        return;
+      }
+      const ColorConvDrive drive =
+          driver_.tick(duv_.rdy.read(), static_cast<uint8_t>(duv_.y.read()),
+                       static_cast<uint8_t>(duv_.cb.read()),
+                       static_cast<uint8_t>(duv_.cr.read()));
+      duv_.ds.write(drive.inputs.ds);
+      duv_.r.write(drive.inputs.r);
+      duv_.g.write(drive.inputs.g);
+      duv_.b.write(drive.inputs.b);
+      sof_.write(drive.sof);
+    });
+    duv_.register_signals(bag);
+    bag.add("sof", sof_);
+    bag.add("monitor_en", monitor_en_);
+  }
+  size_t ops_completed() const override { return driver_.pixels_completed(); }
+  size_t mismatches() const override { return driver_.mismatches(); }
 
-RunResult run_colorconv_rtl(const RunConfig& config, const PropertySuite& suite,
-                        const PrunePrep& prune) {
-  sim::Kernel kernel;
-  sim::Clock clock(kernel, "clk", config.clock_period_ns, 0);
-  ColorConvRtl duv(kernel, clock);
-  sim::Signal<bool> sof(kernel, "sof", false);
-  sim::Signal<bool> monitor_en(kernel, "monitor_en", true);
+ private:
+  ColorConvRtl duv_;
+  sim::Signal<bool> sof_;
+  sim::Signal<bool> monitor_en_;
+  const std::vector<CcBurst> bursts_;
+  ColorConvDriverModel driver_;
+};
 
-  const std::vector<CcBurst> bursts = make_cc_bursts(config.workload, config.seed);
-  size_t total_pixels = 0;
-  for (const CcBurst& b : bursts) total_pixels += b.pixels.size();
-  ColorConvDriverModel driver(bursts);
-  clock.on_negedge([&] {
-    if (driver.done()) {
+class ColorConvTlmCaAdapter final : public TlmModel {
+ public:
+  explicit ColorConvTlmCaAdapter(const RunConfig& config)
+      : TlmModel(config.clock_period_ns),
+        socket_(kernel, &recorder, "colorconv_ca"),
+        bursts_(make_cc_bursts(config.workload, config.seed)),
+        driver_(bursts_) {
+    target_.set_static_observable("monitor_en", 1);
+    socket_.bind(target_);
+    for (const CcBurst& b : bursts_) ops_expected += b.pixels.size();
+    kernel.schedule_at(0, [this] { cycle(); });
+  }
+  size_t ops_completed() const override { return driver_.pixels_completed(); }
+  size_t mismatches() const override { return driver_.mismatches(); }
+
+ private:
+  void cycle() {
+    if (driver_.done()) {
       kernel.stop();
       return;
     }
-    const ColorConvDrive drive =
-        driver.tick(duv.rdy.read(), static_cast<uint8_t>(duv.y.read()),
-                    static_cast<uint8_t>(duv.cb.read()),
-                    static_cast<uint8_t>(duv.cr.read()));
-    duv.ds.write(drive.inputs.ds);
-    duv.r.write(drive.inputs.r);
-    duv.g.write(drive.inputs.g);
-    duv.b.write(drive.inputs.b);
-    sof.write(drive.sof);
-  });
+    payload_.command = tlm::Command::kWrite;
+    payload_.data.assign({next_.inputs.ds ? uint64_t{1} : 0,
+                          uint64_t{next_.inputs.r}, uint64_t{next_.inputs.g},
+                          uint64_t{next_.inputs.b},
+                          next_.sof ? uint64_t{1} : 0});
+    socket_.transport(payload_);
+    const bool rdy = payload_.data[0] != 0;
+    next_ = driver_.tick(rdy, static_cast<uint8_t>(payload_.data[1]),
+                         static_cast<uint8_t>(payload_.data[2]),
+                         static_cast<uint8_t>(payload_.data[3]));
+    kernel.schedule_at(kernel.now() + period, [this] { cycle(); });
+  }
 
-  abv::SignalBag bag;
-  duv.register_signals(bag);
-  bag.add("sof", sof);
-  bag.add("monitor_en", monitor_en);
-  IngestPrep ingest = prepare_ingest(config);
-  abv::RtlAbvEnv env(kernel, bag);
-  env.set_checker_options(checker_options(config));
-  if (ingest.writer != nullptr) env.set_record_writer(ingest.writer.get());
-  if (prune.active) env.set_prune_plan(&prune.plan, prune.audit);
-  if (abv_enabled(config)) {
-    for (const psl::RtlProperty& p : pick(suite, config)) {
-      env.add_property(p);
+  ColorConvTlmCa target_;
+  tlm::InitiatorSocket socket_;
+  const std::vector<CcBurst> bursts_;
+  ColorConvDriverModel driver_;
+  ColorConvDrive next_;
+  tlm::Payload payload_;
+};
+
+class ColorConvTlmAtAdapter final : public TlmModel {
+ public:
+  explicit ColorConvTlmAtAdapter(const RunConfig& config)
+      : TlmModel(config.clock_period_ns),
+        target_(kernel, &recorder, config.clock_period_ns),
+        socket_(kernel, &recorder, "colorconv_at"),
+        bursts_(make_cc_bursts(config.workload, config.seed)) {
+    target_.set_static_observable("monitor_en", 1);
+    socket_.bind(target_);
+    for (const CcBurst& b : bursts_) ops_expected += b.pixels.size();
+    if (!bursts_.empty()) {
+      kernel.schedule_at((bursts_[0].gap + 1) * period,
+                         [this] { issue_burst(); });
     }
   }
-  if (abv_enabled(config) || ingest.writer != nullptr) env.attach(clock);
+  size_t ops_completed() const override { return completed_; }
+  size_t mismatches() const override { return mismatches_; }
 
-  RunResult result;
-  const auto t0 = Clock::now();
-  kernel.run(kForever);
-  env.finish();
-  result.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  result.sim_end_ns = kernel.now();
-  result.kernel_events = kernel.events_executed();
-  result.delta_cycles = kernel.delta_cycles();
-  result.ops_completed = driver.pixels_completed();
-  result.mismatches = driver.mismatches();
-  result.functional_ok =
-      driver.mismatches() == 0 && driver.pixels_completed() == total_pixels;
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
-  record_sim_metrics(result, {});
-  finish_ingest(ingest, result);
-  return result;
-}
-
-RunResult run_colorconv_tlm_ca(const RunConfig& config,
-                               const PropertySuite& suite,
-                               const PrunePrep& prune) {
-  sim::Kernel kernel;
-  tlm::TransactionRecorder recorder(kernel);
-  ColorConvTlmCa target;
-  target.set_static_observable("monitor_en", 1);
-  tlm::InitiatorSocket socket(kernel, &recorder, "colorconv_ca");
-  socket.bind(target);
-
-  const std::vector<CcBurst> bursts = make_cc_bursts(config.workload, config.seed);
-  size_t total_pixels = 0;
-  for (const CcBurst& b : bursts) total_pixels += b.pixels.size();
-  ColorConvDriverModel driver(bursts);
-
-  IngestPrep ingest = prepare_ingest(config);
-  abv::TlmAbvEnv env(suite.clock_period_ns);
-  const TlmOutputs outputs = configure_tlm_env(env, config);
-  if (ingest.writer != nullptr) env.set_record_writer(ingest.writer.get());
-  if (prune.active) env.set_prune_plan(&prune.plan, prune.audit);
-  if (abv_enabled(config)) {
-    for (const psl::RtlProperty& p : pick(suite, config)) {
-      env.add_rtl_property(p);
-    }
-  }
-  const bool pull = abv_enabled(config) || ingest.writer != nullptr;
-  if (pull) env.bind();
-
-  auto next_drive = std::make_shared<ColorConvDrive>();
-  auto payload = std::make_shared<tlm::Payload>();
-  std::function<void()> cycle = [&kernel, &socket, &driver, next_drive, payload,
-                                 &config, &cycle] {
-    if (driver.done()) {
-      kernel.stop();
-      return;
-    }
-    payload->command = tlm::Command::kWrite;
-    payload->data.assign({next_drive->inputs.ds ? uint64_t{1} : 0,
-                          uint64_t{next_drive->inputs.r},
-                          uint64_t{next_drive->inputs.g},
-                          uint64_t{next_drive->inputs.b},
-                          next_drive->sof ? uint64_t{1} : 0});
-    socket.transport(*payload);
-    const bool rdy = payload->data[0] != 0;
-    *next_drive = driver.tick(rdy, static_cast<uint8_t>(payload->data[1]),
-                              static_cast<uint8_t>(payload->data[2]),
-                              static_cast<uint8_t>(payload->data[3]));
-    kernel.schedule_at(kernel.now() + config.clock_period_ns, cycle);
-  };
-  kernel.schedule_at(0, cycle);
-
-  RunResult result;
-  const auto t0 = Clock::now();
-  run_live_tlm(kernel, recorder, env, ingest, pull);
-  result.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  result.sim_end_ns = kernel.now();
-  result.kernel_events = kernel.events_executed();
-  result.delta_cycles = kernel.delta_cycles();
-  result.transactions = recorder.transactions();
-  result.ops_completed = driver.pixels_completed();
-  result.mismatches = driver.mismatches();
-  result.functional_ok =
-      driver.mismatches() == 0 && driver.pixels_completed() == total_pixels;
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
-  record_sim_metrics(result, env.metrics_snapshot());
-  finish_ingest(ingest, result);
-  return result;
-}
-
-RunResult run_colorconv_tlm_at(const RunConfig& config,
-                               const PropertySuite& suite,
-                               const PrunePrep& prune) {
-  sim::Kernel kernel;
-  tlm::TransactionRecorder recorder(kernel);
-  ColorConvTlmAt target(kernel, &recorder, config.clock_period_ns);
-  target.set_static_observable("monitor_en", 1);
-  tlm::InitiatorSocket socket(kernel, &recorder, "colorconv_at");
-  socket.bind(target);
-
-  const std::vector<CcBurst> bursts = make_cc_bursts(config.workload, config.seed);
-  size_t total_pixels = 0;
-  for (const CcBurst& b : bursts) total_pixels += b.pixels.size();
-
-  RunResult result;
-  size_t deleted = 0;
-  IngestPrep ingest = prepare_ingest(config);
-  abv::TlmAbvEnv env(suite.clock_period_ns);
-  const TlmOutputs outputs = configure_tlm_env(env, config);
-  if (ingest.writer != nullptr) env.set_record_writer(ingest.writer.get());
-  if (prune.active) env.set_prune_plan(&prune.plan, prune.audit);
-  if (abv_enabled(config)) {
-    if (config.abstraction.at_replay_unabstracted) {
-      for (const psl::RtlProperty& p : pick(suite, config)) {
-        env.add_rtl_property(p);
-      }
-    } else {
-      for (const psl::TlmProperty& q : abstract_for_at(config, suite, deleted)) {
-        env.add_property(q);
-      }
-    }
-  }
-  const bool pull = abv_enabled(config) || ingest.writer != nullptr;
-  if (pull) env.bind();
-  result.properties_deleted = deleted;
-
+ private:
   // Temporally-decoupled initiator (TLM-2.0 LT style): a whole burst is
   // issued from a single kernel event, with local time offsets carried in
   // the transport delay. Record delivery times are unchanged, so the
   // verification environment sees the exact same event stream as before.
-  const sim::Time c = config.clock_period_ns;
-  auto burst_index = std::make_shared<size_t>(0);
-  auto completed = std::make_shared<size_t>(0);
-  auto mismatches = std::make_shared<size_t>(0);
-  auto write = std::make_shared<tlm::Payload>();
-  auto read = std::make_shared<tlm::Payload>();
-  std::function<void()> burst_fn = [&, burst_index, completed, mismatches, write,
-                                    read] {
-    const CcBurst& burst = bursts[*burst_index];
+  void issue_burst() {
+    constexpr size_t kLatency = ColorConvTlmAt::kLatencyCycles;
+    const sim::Time c = period;
+    const CcBurst& burst = bursts_[next_burst_];
     const sim::Time t0 = kernel.now();
     const size_t n = burst.pixels.size();
     for (size_t i = 0; i < n; ++i) {
       const Pixel& p = burst.pixels[i];
-      write->command = tlm::Command::kWrite;
-      write->data.assign({uint64_t{p.r}, uint64_t{p.g}, uint64_t{p.b},
+      write_.command = tlm::Command::kWrite;
+      write_.data.assign({uint64_t{p.r}, uint64_t{p.g}, uint64_t{p.b},
                           i == 0 ? uint64_t{1} : uint64_t{0}});
       sim::Time write_delay = i * c;
-      socket.transport(*write, write_delay);
-      read->command = tlm::Command::kRead;
-      read->data.clear();
+      socket_.transport(write_, write_delay);
+      read_.command = tlm::Command::kRead;
+      read_.data.clear();
       // Mid-burst, pixel i's result instant (i*c + 8c) coincides with the
       // write of pixel i+8, whose record carries the identical full
       // snapshot; the read phase is then silent to avoid a duplicated
       // evaluation point.
-      read->record = i + ColorConvTlmAt::kLatencyCycles >= n;
+      read_.record = i + kLatency >= n;
       sim::Time read_delay = i * c;
-      socket.transport(*read, read_delay);
+      socket_.transport(read_, read_delay);
       const Ycbcr expect = colorconv_ref(p.r, p.g, p.b);
-      if (read->data.size() != 3 || read->data[0] != expect.y ||
-          read->data[1] != expect.cb || read->data[2] != expect.cr) {
-        ++(*mismatches);
+      if (read_.data.size() != 3 || read_.data[0] != expect.y ||
+          read_.data[1] != expect.cb || read_.data[2] != expect.cr) {
+        ++mismatches_;
       }
-      ++(*completed);
+      ++completed_;
     }
     // Mark the ds and rdy falling instants (Def. III.1).
-    target.emit_idle(t0 + n * c);
-    target.emit_idle(t0 + (n + ColorConvTlmAt::kLatencyCycles) * c);
-    ++(*burst_index);
-    if (*burst_index < bursts.size()) {
-      kernel.schedule_at(t0 + (n + bursts[*burst_index].gap) * c, burst_fn);
+    target_.emit_idle(t0 + n * c);
+    target_.emit_idle(t0 + (n + kLatency) * c);
+    ++next_burst_;
+    if (next_burst_ < bursts_.size()) {
+      kernel.schedule_at(t0 + (n + bursts_[next_burst_].gap) * c,
+                         [this] { issue_burst(); });
     } else {
-      kernel.schedule_at(t0 + (n + 4 + ColorConvTlmAt::kLatencyCycles) * c,
-                         [&kernel] { kernel.stop(); });
+      kernel.schedule_at(t0 + (n + 4 + kLatency) * c, [this] { kernel.stop(); });
     }
-  };
-  if (!bursts.empty()) {
-    kernel.schedule_at((bursts[0].gap + 1) * c, burst_fn);
   }
 
-  const auto t0 = Clock::now();
-  run_live_tlm(kernel, recorder, env, ingest, pull);
-  result.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  result.sim_end_ns = kernel.now();
-  result.kernel_events = kernel.events_executed();
-  result.delta_cycles = kernel.delta_cycles();
-  result.transactions = recorder.transactions();
-  result.ops_completed = *completed;
-  result.mismatches = *mismatches;
-  result.functional_ok = *mismatches == 0 && *completed == total_pixels;
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
-  record_sim_metrics(result, env.metrics_snapshot());
-  finish_ingest(ingest, result);
-  return result;
+  ColorConvTlmAt target_;
+  tlm::InitiatorSocket socket_;
+  const std::vector<CcBurst> bursts_;
+  size_t next_burst_ = 0;
+  size_t completed_ = 0;
+  size_t mismatches_ = 0;
+  tlm::Payload write_;
+  tlm::Payload read_;
+};
+
+std::unique_ptr<RtlModel> make_rtl_model(const RunConfig& config) {
+  if (config.design == Design::kDes56) {
+    return std::make_unique<Des56RtlAdapter>(config);
+  }
+  return std::make_unique<ColorConvRtlAdapter>(config);
 }
 
-// ---- Offline replay --------------------------------------------------------
-
-// Replays a recorded TLM stream through an environment configured exactly
-// like the live runner for (design, level) would configure it — same
-// property registration, abstraction, prune plan and engine knobs — so
-// verdicts, witness rings, coverage counters and prune-derived rows come out
-// byte-identical to the live run.
-RunResult run_tlm_replay(const RunConfig& config, const PropertySuite& suite,
-                         const PrunePrep& prune, tlm::RecordSource& source) {
-  RunResult result;
-  size_t deleted = 0;
-  IngestPrep ingest = prepare_ingest(config);
-  abv::TlmAbvEnv env(suite.clock_period_ns);
-  const TlmOutputs outputs = configure_tlm_env(env, config);
-  if (ingest.writer != nullptr) env.set_record_writer(ingest.writer.get());
-  if (prune.active) env.set_prune_plan(&prune.plan, prune.audit);
-  if (abv_enabled(config)) {
-    if (config.level == Level::kTlmAt &&
-        !config.abstraction.at_replay_unabstracted) {
-      for (const psl::TlmProperty& q : abstract_for_at(config, suite, deleted)) {
-        env.add_property(q);
-      }
-    } else {
-      for (const psl::RtlProperty& p : pick(suite, config)) {
-        env.add_rtl_property(p);
-      }
-    }
+std::unique_ptr<TlmModel> make_tlm_model(const RunConfig& config) {
+  const bool ca = config.level == Level::kTlmCa;
+  if (config.design == Design::kDes56) {
+    if (ca) return std::make_unique<Des56TlmCaAdapter>(config);
+    return std::make_unique<Des56TlmAtAdapter>(config);
   }
-  env.bind();
-  result.properties_deleted = deleted;
+  if (ca) return std::make_unique<ColorConvTlmCaAdapter>(config);
+  return std::make_unique<ColorConvTlmAtAdapter>(config);
+}
 
-  const auto t0 = Clock::now();
+// ---- Check pipelines -----------------------------------------------------------
+//
+// One pipeline per environment kind. Each builds and configures its
+// environment once, registers the checked properties, runs a live model or
+// drains a replayed RecordSource, and fills the RunResult through
+// fill_result. The wall-clock window covers only the run and env.finish().
+
+// Configuration both environment kinds share: checker backend, trace-log
+// writer and prune plan.
+template <typename Env>
+void configure(Env& env, const RunConfig& config, const Outputs& out,
+               const PrunePrep& prune) {
+  checker::CheckerOptions options;
+  options.compiled = config.compiled_checkers;
+  options.vectorized = config.engine.vectorized;
+  options.failure_log_cap = config.observability.failure_log_cap;
+  env.set_checker_options(options);
+  env.set_record_writer(out.writer.get());
+  if (prune.active) env.set_prune_plan(&prune.plan, prune.audit);
+}
+
+// Extent of a drained record stream.
+struct Drained {
   uint64_t records = 0;
   sim::Time last_end = 0;
+};
+
+// Feeds `source` span by span into the environment.
+template <typename Env>
+Drained drain(tlm::RecordSource& source, Env& env) {
+  Drained drained;
   for (tlm::RecordSpan span = source.next(); !span.empty();
        span = source.next()) {
     env.on_records(span.begin, span.end);
-    records += span.size();
-    last_end = span.end[-1].end;
+    drained.records += span.size();
+    drained.last_end = span.end[-1].end;
+  }
+  return drained;
+}
+
+// RunResult tail of both pipelines. A live run reads the kernel and the
+// driver self-check off `model`; a replay (`model` null) ends at the last
+// record and has no DUV, so its driver self-check has no subject —
+// functional verification happened when the stream was recorded. `metrics`
+// is the environment's merged registry; the sim.* gauges go on top.
+template <typename Env>
+void fill_result(const Env& env, const PrunePrep& prune, Outputs& out,
+                 const Model* model, const Drained& drained,
+                 support::MetricsSnapshot metrics, RunResult& result) {
+  if (model != nullptr) {
+    result.sim_end_ns = model->kernel.now();
+    result.kernel_events = model->kernel.events_executed();
+    result.delta_cycles = model->kernel.delta_cycles();
+    result.ops_completed = model->ops_completed();
+    result.mismatches = model->mismatches();
+    result.functional_ok = result.mismatches == 0 &&
+                           result.ops_completed == model->ops_expected;
+  } else {
+    result.sim_end_ns = drained.last_end;
+    result.functional_ok = true;
+  }
+  if (prune.active && prune.audit) {
+    result.analysis_diagnostics = env.prune_cross_check();  // PRN003 errors
+  }
+  result.report = env.report();
+  result.properties_ok = env.all_ok();
+  result.metrics = std::move(metrics);
+  result.metrics.gauges["sim.kernel_events"] = result.kernel_events;
+  result.metrics.gauges["sim.delta_cycles"] = result.delta_cycles;
+  result.metrics.gauges["sim.transactions"] = result.transactions;
+  result.metrics.gauges["sim.wall_ns"] =
+      static_cast<uint64_t>(result.wall_seconds * 1e9);
+  if (out.writer != nullptr && !out.writer->finish()) {
+    result.ingest_error = out.writer->error();
+  }
+}
+
+// TLM-CA, TLM-AT and their replay. Live runs drain a LiveRecordSource over
+// the model's recorder; without a consumer (no checkers, no record log) the
+// kernel just runs and the recorder stays inactive, so targets skip
+// snapshot materialization.
+RunResult check_tlm(const RunConfig& config, const PropertySuite& suite,
+                    const CheckedProperties& checked, const PrunePrep& prune,
+                    TlmModel* model, tlm::RecordSource* replay) {
+  RunResult result;
+  Outputs out = open_outputs(config, /*tlm=*/true);
+  abv::TlmAbvEnv env(suite.clock_period_ns);
+  env.set_engine_config(config.engine);
+  env.set_witness_depth(config.observability.witness_depth);
+  env.set_trace_sink(out.trace.get());
+  env.set_metrics_output(out.metrics.get(),
+                         config.observability.metrics_interval);
+  configure(env, config, out, prune);
+  for (const psl::TlmProperty& q : checked.tlm) env.add_property(q);
+  for (const psl::RtlProperty& p : checked.rtl) env.add_rtl_property(p);
+  result.properties_deleted = checked.deleted;
+  const bool pull =
+      model == nullptr || abv_enabled(config) || out.writer != nullptr;
+  if (pull) env.bind();
+
+  const auto t0 = Clock::now();
+  Drained drained;
+  if (model == nullptr) {
+    drained = drain(*replay, env);
+  } else if (pull) {
+    tlm::LiveRecordSource live(model->kernel, model->recorder, out.meta,
+                               kForever);
+    drain(live, env);
+  } else {
+    model->kernel.run(kForever);
   }
   env.finish();
   result.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  result.sim_end_ns = last_end;
-  result.transactions = records;
-  // No DUV executes during replay, so the driver self-check has no subject;
-  // functional verification happened when the stream was recorded.
-  result.functional_ok = true;
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
-  record_sim_metrics(result, env.metrics_snapshot());
-  finish_ingest(ingest, result);
+  result.transactions =
+      model != nullptr ? model->recorder.transactions() : drained.records;
+  fill_result(env, prune, out, model, drained, env.metrics_snapshot(), result);
   return result;
 }
 
-// RTL replay: each record is one settled clock-edge sample (address 0 =
-// rising, 1 = falling); the recorded snapshots substitute for sampling a
-// live design, so the kernel and signal bag are inert placeholders.
-RunResult run_rtl_replay(const RunConfig& config, const PropertySuite& suite,
-                         const PrunePrep& prune, tlm::RecordSource& source) {
-  sim::Kernel kernel;
-  abv::SignalBag bag;
-  IngestPrep ingest = prepare_ingest(config);
-  abv::RtlAbvEnv env(kernel, bag);
-  env.set_checker_options(checker_options(config));
-  if (prune.active) env.set_prune_plan(&prune.plan, prune.audit);
-  if (abv_enabled(config)) {
-    for (const psl::RtlProperty& p : pick(suite, config)) {
-      env.add_property(p);
-    }
+// RTL and its replay. A replayed record is one settled clock-edge sample
+// (address 0 = rising, 1 = falling) that substitutes for sampling a live
+// design, so the replay's kernel and signal bag are inert placeholders.
+RunResult check_rtl(const RunConfig& config, const CheckedProperties& checked,
+                    const PrunePrep& prune, RtlModel* model,
+                    tlm::RecordSource* replay) {
+  RunResult result;
+  Outputs out = open_outputs(config, /*tlm=*/false);
+  sim::Kernel inert_kernel;
+  abv::SignalBag inert_bag;
+  abv::RtlAbvEnv env(model != nullptr ? model->kernel : inert_kernel,
+                     model != nullptr ? model->bag : inert_bag);
+  configure(env, config, out, prune);
+  for (const psl::RtlProperty& p : checked.rtl) env.add_property(p);
+  if (model != nullptr && (abv_enabled(config) || out.writer != nullptr)) {
+    env.attach(model->clock);
   }
 
-  RunResult result;
   const auto t0 = Clock::now();
-  sim::Time last_end = 0;
-  for (tlm::RecordSpan span = source.next(); !span.empty();
-       span = source.next()) {
-    for (const tlm::TransactionRecord* r = span.begin; r != span.end; ++r) {
-      if (ingest.writer != nullptr) ingest.writer->append(*r);
-      env.on_sample(r->end, r->address == 0, r->observables);
-      last_end = r->end;
-    }
+  Drained drained;
+  if (model == nullptr) {
+    drained = drain(*replay, env);
+  } else {
+    model->kernel.run(kForever);
   }
   env.finish();
   result.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  result.sim_end_ns = last_end;
-  result.functional_ok = true;  // see run_tlm_replay
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
-  record_sim_metrics(result, {});
-  finish_ingest(ingest, result);
+  fill_result(env, prune, out, model, drained, {}, result);
   return result;
+}
+
+void append(std::vector<analysis::Diagnostic>& to,
+            std::vector<analysis::Diagnostic> from) {
+  to.insert(to.end(), std::make_move_iterator(from.begin()),
+            std::make_move_iterator(from.end()));
 }
 
 // Runs the static analysis battery over the configured properties. Returns
@@ -792,7 +668,7 @@ bool run_analysis(const RunConfig& config, const PropertySuite& suite,
   options.abstraction.abstracted_signals = suite.abstracted_signals;
   options.abstraction.push_mode = config.abstraction.push_mode;
   options.symbolic_budget = config.analysis.symbolic_budget;
-  if (config.level == Level::kTlmAt && !config.abstraction.at_replay_unabstracted) {
+  if (checks_abstracted(config)) {
     // Normal AT flow: the original formula binds at RTL, the abstracted one
     // against the transaction snapshots of the AT target.
     options.rtl_observables = level_observables(config.design, Level::kRtl);
@@ -809,9 +685,7 @@ bool run_analysis(const RunConfig& config, const PropertySuite& suite,
   }
   result.analysis_ok = driver.ok();
   for (const analysis::PropertyAnalysis& r : driver.results()) {
-    result.analysis_diagnostics.insert(result.analysis_diagnostics.end(),
-                                       r.diagnostics.begin(),
-                                       r.diagnostics.end());
+    append(result.analysis_diagnostics, r.diagnostics);
   }
   return result.analysis_ok || config.analysis != AnalysisMode::kError;
 }
@@ -822,22 +696,14 @@ bool run_analysis(const RunConfig& config, const PropertySuite& suite,
 void finalize_run(const RunConfig& config, const PrunePrep& prune,
                   RunResult& analyzed, RunResult& result) {
   // Merge diagnostics: static analysis first, then the plan's
-  // PRN001/002/004 notes, then the PRN003 cross-check errors the runner
-  // appended (the only thing in result.analysis_diagnostics at this point).
+  // PRN001/002/004 notes, then the PRN003 cross-check errors fill_result
+  // left (the only thing in result.analysis_diagnostics at this point).
   std::vector<analysis::Diagnostic> prune_errors =
       std::move(result.analysis_diagnostics);
   result.analysis_diagnostics = std::move(analyzed.analysis_diagnostics);
-  if (prune.active) {
-    std::vector<analysis::Diagnostic> notes = prune.plan.diagnostics();
-    result.analysis_diagnostics.insert(result.analysis_diagnostics.end(),
-                                       std::make_move_iterator(notes.begin()),
-                                       std::make_move_iterator(notes.end()));
-  }
+  if (prune.active) append(result.analysis_diagnostics, prune.plan.diagnostics());
   result.analysis_ok = analyzed.analysis_ok && prune_errors.empty();
-  result.analysis_diagnostics.insert(
-      result.analysis_diagnostics.end(),
-      std::make_move_iterator(prune_errors.begin()),
-      std::make_move_iterator(prune_errors.end()));
+  append(result.analysis_diagnostics, std::move(prune_errors));
   result.prune_plan = prune.plan;
   if (prune.active && !config.observability.prune_plan_path.empty()) {
     std::ofstream plan_out(config.observability.prune_plan_path);
@@ -861,14 +727,43 @@ void finalize_run(const RunConfig& config, const PrunePrep& prune,
       c.vacuous_passes = p.vacuous_passes;
       observed.push_back(std::move(c));
     }
-    std::vector<analysis::Diagnostic> cov =
-        analysis::cross_check_coverage(result.analysis_diagnostics, observed);
-    result.analysis_diagnostics.insert(result.analysis_diagnostics.end(),
-                                       std::make_move_iterator(cov.begin()),
-                                       std::make_move_iterator(cov.end()));
+    append(result.analysis_diagnostics,
+           analysis::cross_check_coverage(result.analysis_diagnostics,
+                                          observed));
   }
 }
 
+// Frame of both run_simulation overloads: static analysis, the prune plan,
+// the level's check pipeline over a freshly built model (`replay` null) or
+// the given record source, then the diagnostics tail.
+RunResult run_checked(const RunConfig& config, tlm::RecordSource* replay) {
+  const PropertySuite suite =
+      config.design == Design::kDes56 ? des56_suite() : colorconv_suite();
+
+  // Pre-simulation static analysis. Uses its own pass manager, so it leaves
+  // the simulated configuration (and its reports) untouched.
+  // kError: error diagnostics block the simulation (and the replay).
+  RunResult analyzed;
+  if (config.analysis != AnalysisMode::kOff && abv_enabled(config) &&
+      !run_analysis(config, suite, analyzed)) {
+    return analyzed;
+  }
+
+  const CheckedProperties checked = select_checked(config, suite);
+  const PrunePrep prune = prepare_prune(config, checked);
+  RunResult result;
+  if (config.level == Level::kRtl) {
+    const std::unique_ptr<RtlModel> model =
+        replay == nullptr ? make_rtl_model(config) : nullptr;
+    result = check_rtl(config, checked, prune, model.get(), replay);
+  } else {
+    const std::unique_ptr<TlmModel> model =
+        replay == nullptr ? make_tlm_model(config) : nullptr;
+    result = check_tlm(config, suite, checked, prune, model.get(), replay);
+  }
+  finalize_run(config, prune, analyzed, result);
+  return result;
+}
 }  // namespace
 
 std::vector<std::string> level_observables(Design d, Level l) {
@@ -964,58 +859,11 @@ RunResult run_simulation(const RunConfig& config) {
     return run_simulation(config, source);
   }
 
-  const PropertySuite suite =
-      config.design == Design::kDes56 ? des56_suite() : colorconv_suite();
-
-  // Pre-simulation static analysis. Uses its own pass manager, so it leaves
-  // the simulated configuration (and its reports) untouched.
-  RunResult analyzed;
-  if (config.analysis != AnalysisMode::kOff && abv_enabled(config)) {
-    if (!run_analysis(config, suite, analyzed)) {
-      return analyzed;  // kError: diagnostics block the simulation
-    }
-  }
-
-  const PrunePrep prune = prepare_prune(config, suite);
-
-  RunResult result;
-  switch (config.design) {
-    case Design::kDes56:
-      switch (config.level) {
-        case Level::kRtl: result = run_des56_rtl(config, suite, prune); break;
-        case Level::kTlmCa: result = run_des56_tlm_ca(config, suite, prune); break;
-        case Level::kTlmAt: result = run_des56_tlm_at(config, suite, prune); break;
-      }
-      break;
-    case Design::kColorConv:
-      switch (config.level) {
-        case Level::kRtl: result = run_colorconv_rtl(config, suite, prune); break;
-        case Level::kTlmCa: result = run_colorconv_tlm_ca(config, suite, prune); break;
-        case Level::kTlmAt: result = run_colorconv_tlm_at(config, suite, prune); break;
-      }
-      break;
-  }
-  finalize_run(config, prune, analyzed, result);
-  return result;
+  return run_checked(config, nullptr);
 }
 
 RunResult run_simulation(const RunConfig& config, tlm::RecordSource& source) {
-  const PropertySuite suite =
-      config.design == Design::kDes56 ? des56_suite() : colorconv_suite();
-
-  RunResult analyzed;
-  if (config.analysis != AnalysisMode::kOff && abv_enabled(config)) {
-    if (!run_analysis(config, suite, analyzed)) {
-      return analyzed;  // kError: diagnostics block the replay too
-    }
-  }
-
-  const PrunePrep prune = prepare_prune(config, suite);
-  RunResult result = config.level == Level::kRtl
-                         ? run_rtl_replay(config, suite, prune, source)
-                         : run_tlm_replay(config, suite, prune, source);
-  finalize_run(config, prune, analyzed, result);
-  return result;
+  return run_checked(config, &source);
 }
 
 }  // namespace repro::models

@@ -2,6 +2,13 @@
 // checker count) configuration and reports wall-clock time plus
 // verification results. This is the engine behind the Table I / Fig. 6
 // benchmarks and the integration tests.
+//
+// Every run is model adapter -> check pipeline. A model adapter (one per
+// design x level) only builds the model and its driver on a kernel. The
+// check pipeline (one for RTL, one shared by TLM-CA and TLM-AT) configures
+// the ABV environment, registers the properties, drains the record stream
+// (live from the adapter, or replayed from a trace log) and fills the
+// RunResult, so every level is checked by the same code.
 #ifndef REPRO_MODELS_TESTBENCH_H_
 #define REPRO_MODELS_TESTBENCH_H_
 
@@ -51,18 +58,18 @@ enum class AnalysisMode { kOff, kOn, kError };
 // the testbench-added statics (monitor_en, ColorConv RTL's sof).
 std::vector<std::string> level_observables(Design d, Level l);
 
-// Observability knobs shared by the TLM runners (ignored at RTL except for
+// Observability knobs of the TLM pipeline (ignored at RTL except for
 // failure_log_cap, which applies to every checker backend).
 struct ObservabilityConfig {
-  // When non-empty, the TLM runners write a Chrome trace-event JSON file
-  // here (engine spans, failure instants).
+  // When non-empty, TLM runs write a Chrome trace-event JSON file here
+  // (engine spans, failure instants).
   std::string trace_path;
   // Failure-witness ring depth per wrapper (0 disables capture). Ignored
   // for unabstracted replay (plain checkers carry no witnesses).
   size_t witness_depth = 8;
   // Maximum failure entries retained per checker/wrapper for diagnostics.
   size_t failure_log_cap = 64;
-  // When non-empty, the TLM runners stream periodic JSONL snapshots of the
+  // When non-empty, TLM runs stream periodic JSONL snapshots of the
   // merged metrics registry + per-property coverage table here (one compact
   // object per line; validated by tools/validate_metrics.py).
   std::string metrics_path;
@@ -200,9 +207,9 @@ struct RunResult {
 // checker environment the live run would have built.
 RunResult run_simulation(const RunConfig& config);
 
-// Checks `config` against an explicit record source — the RecordSource half
-// of the ingest redesign: any producer of the stream (live adapter, trace
-// replay, synthetic) yields the same report the subscribed live run would.
+// Checks `config` against an explicit record source: any producer of the
+// stream (live adapter, trace replay, synthetic) yields the same report the
+// live run would.
 // The source's meta is NOT validated against the config here; callers that
 // care (the replay path above) validate first.
 RunResult run_simulation(const RunConfig& config, tlm::RecordSource& source);

@@ -454,6 +454,41 @@ TEST_P(ReplayEquivalence, ColorConvTlmAtWithPrune) {
   }
 }
 
+// TLM-CA: the unabstracted RTL suite checked on the per-cycle transaction
+// stream. Records at the fixture's job count, replays at jobs 1 and 4.
+void expect_tlm_ca_replay_matches(models::Design design, size_t workload,
+                                  size_t jobs) {
+  const std::string log = temp_path(std::string(models::to_string(design)) +
+                                    "_ca_" + std::to_string(jobs) + ".rtabv");
+  models::RunConfig config;
+  config.design = design;
+  config.level = models::Level::kTlmCa;
+  config.workload = workload;
+  config.checkers = 12;  // every suite property
+  config.engine.jobs = jobs;
+  config.ingest.record_path = log;
+  const models::RunResult live = models::run_simulation(config);
+  ASSERT_TRUE(live.ingest_error.empty()) << live.ingest_error;
+  ASSERT_GT(live.report.total_activations(), 0u);
+
+  for (size_t replay_jobs : {size_t{1}, size_t{4}}) {
+    const models::RunResult replayed =
+        models::run_simulation(replay_config(config, log, replay_jobs));
+    ASSERT_TRUE(replayed.ingest_error.empty()) << replayed.ingest_error;
+    EXPECT_EQ(replayed.transactions, live.transactions);
+    EXPECT_EQ(report_json(replayed), report_json(live))
+        << "replay at jobs=" << replay_jobs;
+  }
+}
+
+TEST_P(ReplayEquivalence, Des56TlmCa) {
+  expect_tlm_ca_replay_matches(models::Design::kDes56, 60, GetParam());
+}
+
+TEST_P(ReplayEquivalence, ColorConvTlmCa) {
+  expect_tlm_ca_replay_matches(models::Design::kColorConv, 100, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Jobs, ReplayEquivalence,
                          testing::Values(size_t{1}, size_t{4}));
 
@@ -471,6 +506,33 @@ TEST(ReplayRtl, RecordThenReplayMatchesAndRoundTrips) {
   // Replay while re-recording: the checker report matches the live run and
   // the re-recorded log is byte-identical (same records, same framing).
   const std::string rerecorded = temp_path("des56_rtl_rt.rtabv");
+  models::RunConfig replay = replay_config(config, log, 1);
+  replay.ingest.record_path = rerecorded;
+  const models::RunResult replayed = models::run_simulation(replay);
+  ASSERT_TRUE(replayed.ingest_error.empty()) << replayed.ingest_error;
+  EXPECT_EQ(report_json(replayed), report_json(live));
+  EXPECT_EQ(slurp(rerecorded), slurp(log));
+}
+
+TEST(ReplayTlmAt, RecordThenReplayMatchesAndRoundTrips) {
+  const std::string log = temp_path("des56_at_rt_src.rtabv");
+  models::RunConfig config;
+  config.design = models::Design::kDes56;
+  config.level = models::Level::kTlmAt;
+  config.workload = 60;
+  config.checkers = 9;
+  auto parsed = psl::parse_rtl_property(
+      "wdemo: always (!ds || next[1](rdy)) @clk_pos");
+  ASSERT_TRUE(parsed.ok());
+  config.extra_properties.push_back(std::move(parsed).take());
+  config.ingest.record_path = log;
+  const models::RunResult live = models::run_simulation(config);
+  ASSERT_TRUE(live.ingest_error.empty()) << live.ingest_error;
+  ASSERT_GT(live.report.total_failures(), 0u);
+
+  // Replay while re-recording: same report, byte-identical log (the writer
+  // frames the replayed spans exactly as it framed the live ones).
+  const std::string rerecorded = temp_path("des56_at_rt.rtabv");
   models::RunConfig replay = replay_config(config, log, 1);
   replay.ingest.record_path = rerecorded;
   const models::RunResult replayed = models::run_simulation(replay);
