@@ -201,7 +201,8 @@ double time_telemetry_pass(const psl::ExprPtr& formula,
                            checker::CheckerStats* stats_out) {
   const auto start = std::chrono::steady_clock::now();
   for (size_t p = 0; p < passes; ++p) {
-    checker::PropertyChecker ck("bench", formula, nullptr);
+    checker::PropertyChecker ck("bench", formula, nullptr,
+                                checker::kEventCounted);
     ck.set_coverage(row);
     for (const checker::Observation& ob : trace) {
       ck.on_event(ob.time, ob.values);

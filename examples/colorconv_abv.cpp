@@ -61,7 +61,7 @@
 
 #include "abv_options.h"
 #include "analysis/prune.h"
-#include "checker/wrapper.h"
+#include "checker/checker.h"
 #include "models/colorconv/colorconv_core.h"
 #include "models/properties.h"
 #include "models/testbench.h"
@@ -87,7 +87,9 @@ bool buggy_model_is_caught() {
   // c2 is the second property of the suite.
   rewrite::AbstractionOutcome outcome =
       rewrite::abstract_property(suite.properties[1], options);
-  checker::TlmCheckerWrapper wrapper(*outcome.property, suite.clock_period_ns);
+  const psl::TlmProperty& c2 = *outcome.property;
+  checker::PropertyChecker c2_checker(c2.name, c2.formula, c2.context.guard,
+                                      suite.clock_period_ns);
 
   auto transaction = [&](psl::TimeNs t, bool ds, uint64_t y) {
     checker::MapContext values;
@@ -100,13 +102,15 @@ bool buggy_model_is_caught() {
     values.set("y", y);
     values.set("cb", 128);
     values.set("cr", 128);
-    wrapper.on_transaction(t, values);
+    c2_checker.on_event(t, values);
   };
   transaction(100, true, 0);    // pixel accepted
   transaction(180, false, 255); // result 8 cycles later: y out of range!
-  wrapper.finish();
-  if (wrapper.stats().failures == 0 || wrapper.failures().empty()) return false;
-  const checker::Failure& failure = wrapper.failures().front();
+  c2_checker.finish();
+  if (c2_checker.stats().failures == 0 || c2_checker.failures().empty()) {
+    return false;
+  }
+  const checker::Failure& failure = c2_checker.failures().front();
   std::printf("witness ring at the verdict (%zu transaction%s):\n",
               failure.witness.size(), failure.witness.size() == 1 ? "" : "s");
   for (const checker::WitnessEntry& entry : failure.witness) {

@@ -6,8 +6,8 @@
 // the format). By default the trace rows are treated as clock-edge samples
 // and the properties are checked as written. With --tlm, the rows are
 // treated as transaction-end events: the properties are first abstracted
-// with Methodology III.1 (using --clock and --abstract) and checked through
-// the Sec. IV wrapper.
+// with Methodology III.1 (using --clock and --abstract) and checked on the
+// transaction time scale instead of event-counted.
 //
 // Exit code 0 when every property holds, 1 on failures, 2 on usage errors
 // (including a checked property or guard that names a signal missing from
@@ -25,7 +25,6 @@
 
 #include "checker/checker.h"
 #include "checker/trace_io.h"
-#include "checker/wrapper.h"
 #include "psl/parser.h"
 #include "rewrite/methodology.h"
 #include "support/strutil.h"
@@ -145,10 +144,12 @@ int main(int argc, char** argv) {
   // header; a trace without rows evaluates nothing.
   const checker::Trace& rows = trace.value();
   std::set<std::string> missing;
-  bool all_ok = true;
-  if (tlm_mode) {
-    std::vector<std::unique_ptr<checker::TlmCheckerWrapper>> wrappers;
-    for (const psl::RtlProperty& p : properties.value()) {
+  std::vector<std::unique_ptr<checker::PropertyChecker>> checkers;
+  for (const psl::RtlProperty& p : properties.value()) {
+    psl::ExprPtr formula = p.formula;
+    psl::ExprPtr guard = p.context.guard;
+    psl::TimeNs period = checker::kEventCounted;
+    if (tlm_mode) {
       auto outcome = rewrite::abstract_property(p, options);
       if (outcome.deleted()) {
         std::printf("%-8s deleted by signal abstraction\n", p.name.c_str());
@@ -156,51 +157,31 @@ int main(int argc, char** argv) {
       }
       std::printf("%-8s %s\n", p.name.c_str(),
                   psl::to_string(*outcome.property).c_str());
-      if (!rows.empty()) {
-        note_missing(outcome.property->formula, rows[0].values, missing);
-        note_missing(outcome.property->context.guard, rows[0].values, missing);
-      }
-      wrappers.push_back(std::make_unique<checker::TlmCheckerWrapper>(
-          *outcome.property, options.clock_period_ns));
+      formula = outcome.property->formula;
+      guard = outcome.property->context.guard;
+      period = options.clock_period_ns;
     }
-    if (!missing.empty()) return unknown_signals(missing);
-    for (const checker::Observation& o : rows) {
-      for (auto& w : wrappers) w->on_transaction(o.time, o.values);
+    if (!rows.empty()) {
+      note_missing(formula, rows[0].values, missing);
+      note_missing(guard, rows[0].values, missing);
     }
-    for (auto& w : wrappers) {
-      w->finish();
-      std::printf("%-8s activations=%llu holds=%llu failures=%llu  %s\n",
-                  w->name().c_str(),
-                  static_cast<unsigned long long>(w->stats().activations),
-                  static_cast<unsigned long long>(w->stats().holds),
-                  static_cast<unsigned long long>(w->stats().failures),
-                  w->ok() ? "PASS" : "FAIL");
-      all_ok = all_ok && w->ok();
-    }
-  } else {
-    std::vector<std::unique_ptr<checker::PropertyChecker>> checkers;
-    for (const psl::RtlProperty& p : properties.value()) {
-      if (!rows.empty()) {
-        note_missing(p.formula, rows[0].values, missing);
-        note_missing(p.context.guard, rows[0].values, missing);
-      }
-      checkers.push_back(std::make_unique<checker::PropertyChecker>(
-          p.name, p.formula, p.context.guard));
-    }
-    if (!missing.empty()) return unknown_signals(missing);
-    for (const checker::Observation& o : rows) {
-      for (auto& c : checkers) c->on_event(o.time, o.values);
-    }
-    for (auto& c : checkers) {
-      c->finish();
-      std::printf("%-8s activations=%llu holds=%llu failures=%llu  %s\n",
-                  c->name().c_str(),
-                  static_cast<unsigned long long>(c->stats().activations),
-                  static_cast<unsigned long long>(c->stats().holds),
-                  static_cast<unsigned long long>(c->stats().failures),
-                  c->ok() ? "PASS" : "FAIL");
-      all_ok = all_ok && c->ok();
-    }
+    checkers.push_back(std::make_unique<checker::PropertyChecker>(
+        p.name, formula, guard, period));
+  }
+  if (!missing.empty()) return unknown_signals(missing);
+  for (const checker::Observation& o : rows) {
+    for (auto& c : checkers) c->on_event(o.time, o.values);
+  }
+  bool all_ok = true;
+  for (auto& c : checkers) {
+    c->finish();
+    std::printf("%-8s activations=%llu holds=%llu failures=%llu  %s\n",
+                c->name().c_str(),
+                static_cast<unsigned long long>(c->stats().activations),
+                static_cast<unsigned long long>(c->stats().holds),
+                static_cast<unsigned long long>(c->stats().failures),
+                c->ok() ? "PASS" : "FAIL");
+    all_ok = all_ok && c->ok();
   }
   std::printf("%s\n", all_ok ? "ALL PASS" : "FAILURES DETECTED");
   return all_ok ? 0 : 1;

@@ -1,9 +1,9 @@
 // Sharded, pipelined evaluation engine for the TLM ABV runtime.
 //
-// The serial runtime walks every wrapper and checker at every transaction
-// end, so checking time grows linearly with the property count. The engine
-// removes that bottleneck for large suites: wrappers/checkers are
-// partitioned round-robin into per-worker shards, incoming transaction
+// The serial runtime walks every checker at every transaction end, so
+// checking time grows linearly with the property count. The engine removes
+// that bottleneck for large suites: checkers are partitioned round-robin
+// into per-worker shards, incoming transaction
 // records are appended once into a shared support::BatchArena, and sealed
 // batches are dispatched by span — every shard reads the same immutable
 // slab, eliminating the O(jobs) per-record fan-out copy.
@@ -15,7 +15,7 @@
 // bound the producer blocks (backpressure) until a batch fully drains.
 //
 // Correctness model:
-//   - Each wrapper/checker is owned by exactly one shard, and shard queues
+//   - Each checker is owned by exactly one shard, and shard queues
 //     are FIFO, so every property observes the exact event stream of the
 //     serial engine in arrival order; per-property stats, verdicts and
 //     failure logs are therefore identical for any `jobs` or
@@ -48,7 +48,6 @@
 
 #include "abv/engine_config.h"
 #include "checker/checker.h"
-#include "checker/wrapper.h"
 #include "support/batch_arena.h"
 #include "support/coverage.h"
 #include "support/metrics.h"
@@ -68,7 +67,7 @@ class EvalEngine {
     // callers pass their config group through unchanged.
     EngineConfig config;
     // Optional metrics registry (records, batches, arena/backpressure
-    // accounting, per-shard busy time, wrapper pool/latency at finish).
+    // accounting, per-shard busy time, checker pool/latency at finish).
     // Lane 0 is the producer, lane s+1 backs shard s, so the registry must
     // have >= jobs + 1 lanes and outlive the engine. nullptr disables.
     support::MetricsRegistry* metrics = nullptr;
@@ -88,7 +87,7 @@ class EvalEngine {
     // line (when metrics_out is set).
     size_t metrics_interval = 0;
     // Live per-property coverage table serialized into each snapshot line;
-    // the caller attaches the table's rows to its wrappers/checkers. Must
+    // the caller attaches the table's rows to its checkers. Must
     // outlive the engine. nullptr serializes an empty coverage array.
     support::CoverageTable* coverage = nullptr;
     // Optional trace-log writer (--record-out): the ingested record stream
@@ -103,7 +102,6 @@ class EvalEngine {
   ~EvalEngine();
 
   // Registration, in report order. Call before the first on_record.
-  void add(checker::TlmCheckerWrapper* wrapper);
   void add(checker::PropertyChecker* checker);
 
   // One completed transaction. Serial mode evaluates immediately; sharded
@@ -143,7 +141,6 @@ class EvalEngine {
 
   // std::deque: Shard holds a mutex and is neither movable nor copyable.
   struct Shard {
-    std::vector<checker::TlmCheckerWrapper*> wrappers;
     std::vector<checker::PropertyChecker*> checkers;
     std::mutex mu;
     std::condition_variable cv;
@@ -166,7 +163,6 @@ class EvalEngine {
   void write_sample(uint64_t sim_time_ns, bool final);
 
   Options options_;
-  std::vector<checker::TlmCheckerWrapper*> wrappers_;
   std::vector<checker::PropertyChecker*> checkers_;
 
   RecordArena arena_;

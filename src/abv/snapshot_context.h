@@ -28,7 +28,7 @@ class ObservablesContext : public checker::ValueContext {
   uint64_t value(std::string_view name) const override;
   bool has(std::string_view name) const override;
 
-  // Materialized once per context and shared, so the wrappers of one shard
+  // Materialized once per context and shared, so the checkers of one shard
   // remembering the same transaction all hold the same immutable snapshot.
   // The copy is deep: it stays valid after the batch arena recycles the
   // record this context was built over.

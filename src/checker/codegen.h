@@ -2,9 +2,9 @@
 //
 // Emits a standalone, dependency-free C++17 source file implementing a
 // dynamic checker for one property. The generated monitor has the same
-// semantics as the in-process Instance/PropertyChecker machinery (the
-// differential test compiles and runs generated checkers against the
-// library on shared traces):
+// semantics as an event-counted checker::PropertyChecker (the differential
+// test compiles and runs generated checkers against the library on shared
+// traces):
 //
 //   class q3_checker {
 //    public:
@@ -18,7 +18,8 @@
 // becomes a plain struct with explicit state and a step function — no
 // virtual dispatch, no library dependency. Generated checkers construct a
 // fresh obligation per activation (no instance pooling): they favour
-// integration simplicity over the wrapper's recycling optimization.
+// integration simplicity over PropertyChecker's instance recycling (Sec. IV
+// point 3).
 #ifndef REPRO_CHECKER_CODEGEN_H_
 #define REPRO_CHECKER_CODEGEN_H_
 

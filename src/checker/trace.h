@@ -26,7 +26,7 @@ enum class Verdict { kTrue, kFalse, kPending };
 const char* to_string(Verdict v);
 
 // The (name, value) pairs one evaluation event exposed, materialized for
-// failure diagnostics. Shared: every wrapper whose ring buffer remembers the
+// failure diagnostics. Shared: every checker whose ring buffer remembers the
 // same event holds the same immutable snapshot.
 using WitnessValues = std::vector<std::pair<std::string, uint64_t>>;
 
@@ -55,7 +55,7 @@ class ValueContext {
   virtual bool has(std::string_view name) const = 0;
   // Shareable snapshot of every signal this context exposes, for failure
   // witnesses. nullptr when the context cannot enumerate its signals (the
-  // wrapper then skips witness capture for this event).
+  // checker then skips witness capture for this event).
   virtual std::shared_ptr<const WitnessValues> witness_values() const {
     return nullptr;
   }

@@ -64,10 +64,11 @@ struct ObservabilityConfig {
   // When non-empty, TLM runs write a Chrome trace-event JSON file here
   // (engine spans, failure instants).
   std::string trace_path;
-  // Failure-witness ring depth per wrapper (0 disables capture). Ignored
-  // for unabstracted replay (plain checkers carry no witnesses).
+  // Failure-witness ring depth per abstracted property (0 disables
+  // capture). Ignored for unabstracted replay (event-counted checkers carry
+  // no witnesses).
   size_t witness_depth = 8;
-  // Maximum failure entries retained per checker/wrapper for diagnostics.
+  // Maximum failure entries retained per checker for diagnostics.
   size_t failure_log_cap = 64;
   // When non-empty, TLM runs stream periodic JSONL snapshots of the
   // merged metrics registry + per-property coverage table here (one compact

@@ -104,7 +104,8 @@ TEST(CodegenDifferential, GeneratedCheckersMatchLibrary) {
   std::vector<Counters> expected;
   for (const DiffCase& dc : cases) {
     const psl::TlmProperty property = tlm(dc.name + ": " + dc.property);
-    PropertyChecker checker(dc.name, property.formula, property.context.guard);
+    PropertyChecker checker(dc.name, property.formula, property.context.guard,
+                            kEventCounted);
     for (const Observation& o : trace) checker.on_event(o.time, o.values);
     checker.finish();
     expected.push_back({checker.stats().activations, checker.stats().holds,

@@ -19,7 +19,6 @@
 #include "checker/instance.h"
 #include "checker/program.h"
 #include "checker/trace.h"
-#include "checker/wrapper.h"
 #include "psl/ast.h"
 #include "psl/parser.h"
 #include "support/coverage.h"
@@ -111,7 +110,7 @@ TEST(CoverageAntecedent, ProgramMirrorsAntecedentNodeSet) {
 // (vacuous), on each backend.
 void expect_vacuity_split(const CheckerOptions& options) {
   PropertyChecker checker("p", parse("always (a -> next[1](b))"), nullptr,
-                          options);
+                          kEventCounted, options);
   MapContext fired;
   fired.set("a", 1);
   fired.set("b", 0);
@@ -153,7 +152,8 @@ TEST(CoverageVacuity, SplitOnLockstepBackend) {
 }
 
 TEST(CoverageVacuity, UnguardedPropertyCountsEveryHoldAsReal) {
-  PropertyChecker checker("p", parse("always (next[1](b))"), nullptr);
+  PropertyChecker checker("p", parse("always (next[1](b))"), nullptr,
+                          kEventCounted);
   MapContext values;
   values.set("b", 1);
   checker.on_event(10, values);
@@ -176,13 +176,13 @@ MapContext handshake(bool ds, bool rdy) {
 
 TEST(CoverageWrapper, CountsMissedDeadlinesAndVacuousPasses) {
   const psl::TlmProperty p = tlm_prop("w: always (!ds || next_e[1,20](rdy)) @Tb");
-  TlmCheckerWrapper wrapper(p, 10);
+  PropertyChecker wrapper(p.name, p.formula, p.context.guard, 10);
   // ds at t=10 schedules a deadline at t=30; the next transaction arrives
   // long past it, so the evaluation-table pop counts a missed deadline.
-  wrapper.on_transaction(10, handshake(true, false));
-  wrapper.on_transaction(100, handshake(false, false));
+  wrapper.on_event(10, handshake(true, false));
+  wrapper.on_event(100, handshake(false, false));
   wrapper.finish();
-  const WrapperStats& s = wrapper.stats();
+  const CheckerStats& s = wrapper.stats();
   EXPECT_EQ(s.missed_deadlines, 1u);
   EXPECT_GT(s.failures, 0u);       // rdy never rose inside the window
   EXPECT_GT(s.vacuous_passes, 0u); // the ds=0 activation resolved trivially
@@ -191,11 +191,11 @@ TEST(CoverageWrapper, CountsMissedDeadlinesAndVacuousPasses) {
 
 TEST(CoverageWrapper, RealPassWhenConsequentExercised) {
   const psl::TlmProperty p = tlm_prop("w: always (!ds || next_e[1,20](rdy)) @Tb");
-  TlmCheckerWrapper wrapper(p, 10);
-  wrapper.on_transaction(10, handshake(true, false));
-  wrapper.on_transaction(20, handshake(false, true));  // rdy inside the window
+  PropertyChecker wrapper(p.name, p.formula, p.context.guard, 10);
+  wrapper.on_event(10, handshake(true, false));
+  wrapper.on_event(20, handshake(false, true));  // rdy inside the window
   wrapper.finish();
-  const WrapperStats& s = wrapper.stats();
+  const CheckerStats& s = wrapper.stats();
   EXPECT_EQ(s.failures, 0u);
   EXPECT_GE(s.real_passes, 1u);
   EXPECT_EQ(s.missed_deadlines, 0u);
@@ -283,7 +283,7 @@ std::vector<tlm::TransactionRecord> handshake_stream(size_t n) {
 // returns the emitted JSONL lines.
 std::vector<std::string> sample_run(size_t jobs, size_t interval) {
   const psl::TlmProperty p = tlm_prop("w: always (!ds || next_e[1,20](rdy)) @Tb");
-  TlmCheckerWrapper wrapper(p, 10);
+  PropertyChecker wrapper(p.name, p.formula, p.context.guard, 10);
   support::CoverageTable coverage;
   wrapper.set_coverage(&coverage.row(wrapper.name()));
   std::ostringstream os;
@@ -347,7 +347,8 @@ TEST(CoverageSampler, FinalCoverageIdenticalAcrossJobs) {
 // ---- Report schema v2 -----------------------------------------------------------
 
 TEST(CoverageReport, JsonCarriesCoverageSectionAndPrintTheSplitColumns) {
-  PropertyChecker checker("p", parse("always (a -> next[1](b))"), nullptr);
+  PropertyChecker checker("p", parse("always (a -> next[1](b))"), nullptr,
+                          kEventCounted);
   MapContext values;
   values.set("a", 0);
   values.set("b", 0);

@@ -360,9 +360,9 @@ TEST_P(IrBackendParity, CoverageCountersIdenticalAcrossBackends) {
   CheckerOptions vector_opts;
   vector_opts.compiled = true;
   vector_opts.vectorized = true;
-  PropertyChecker interp("p", formula, nullptr, interp_opts);
-  PropertyChecker scalar("p", formula, nullptr, scalar_opts);
-  PropertyChecker vector("p", formula, nullptr, vector_opts);
+  PropertyChecker interp("p", formula, nullptr, kEventCounted, interp_opts);
+  PropertyChecker scalar("p", formula, nullptr, kEventCounted, scalar_opts);
+  PropertyChecker vector("p", formula, nullptr, kEventCounted, vector_opts);
   for (const Observation& o : trace) {
     interp.on_event(o.time, o.values);
     scalar.on_event(o.time, o.values);
@@ -433,7 +433,7 @@ TEST_P(IrBackendParity, PrunePlanSoundOnRandomFormulas) {
   const analysis::PruneDecision& d = plan.decisions[0];
 
   const Trace trace = random_trace(rng, 14);
-  PropertyChecker real("p", formula, guard, {});
+  PropertyChecker real("p", formula, guard, kEventCounted, {});
   for (const auto& o : trace) real.on_event(o.time, o.values);
   real.finish();
 
@@ -447,7 +447,7 @@ TEST_P(IrBackendParity, PrunePlanSoundOnRandomFormulas) {
     return;
   }
   if (d.specialized != nullptr) {
-    PropertyChecker spec("p", d.specialized, guard, {});
+    PropertyChecker spec("p", d.specialized, guard, kEventCounted, {});
     for (const auto& o : trace) spec.on_event(o.time, o.values);
     spec.finish();
     EXPECT_EQ(spec.stats().activations, real.stats().activations)
@@ -482,8 +482,8 @@ TEST_P(IrBackendParity, PruneSubsumptionImpliesVerdictOnRandomTraces) {
     const size_t i = d.subsumed_by == "q0" ? 0 : 1;
     for (int round = 0; round < 3; ++round) {
       const Trace trace = random_trace(rng, 12);
-      PropertyChecker subsumer("i", f[i], nullptr, {});
-      PropertyChecker subsumed("j", f[j], nullptr, {});
+      PropertyChecker subsumer("i", f[i], nullptr, kEventCounted, {});
+      PropertyChecker subsumed("j", f[j], nullptr, kEventCounted, {});
       for (const auto& o : trace) {
         subsumer.on_event(o.time, o.values);
         subsumed.on_event(o.time, o.values);

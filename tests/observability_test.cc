@@ -15,7 +15,6 @@
 #include "abv/report.h"
 #include "checker/checker.h"
 #include "checker/trace.h"
-#include "checker/wrapper.h"
 #include "models/testbench.h"
 #include "psl/parser.h"
 #include "support/json.h"
@@ -143,11 +142,11 @@ TEST(Witness, RingWrapsAroundAndSnapshotsOldestFirst) {
   // rdy must rise within 40 ns of ds; it never does, so the session fails
   // and the failure carries the last `depth` transactions.
   const psl::TlmProperty p = tlm_prop("w: always (!ds || next_e[1,40](rdy)) @Tb");
-  checker::TlmCheckerWrapper wrapper(p, 10);
+  checker::PropertyChecker wrapper(p.name, p.formula, p.context.guard, 10);
   wrapper.set_witness_depth(3);
-  wrapper.on_transaction(10, des_values(true, false));
+  wrapper.on_event(10, des_values(true, false));
   for (psl::TimeNs t : {20, 30, 40, 50, 60}) {
-    wrapper.on_transaction(t, des_values(false, false));
+    wrapper.on_event(t, des_values(false, false));
   }
   wrapper.finish();
   ASSERT_GT(wrapper.stats().failures, 0u);
@@ -165,11 +164,11 @@ TEST(Witness, RingWrapsAroundAndSnapshotsOldestFirst) {
 
 TEST(Witness, DepthZeroDisablesCapture) {
   const psl::TlmProperty p = tlm_prop("w: always (!ds || next_e[1,40](rdy)) @Tb");
-  checker::TlmCheckerWrapper wrapper(p, 10);
+  checker::PropertyChecker wrapper(p.name, p.formula, p.context.guard, 10);
   wrapper.set_witness_depth(0);
-  wrapper.on_transaction(10, des_values(true, false));
+  wrapper.on_event(10, des_values(true, false));
   for (psl::TimeNs t : {20, 30, 40, 50, 60}) {
-    wrapper.on_transaction(t, des_values(false, false));
+    wrapper.on_event(t, des_values(false, false));
   }
   wrapper.finish();
   ASSERT_GT(wrapper.stats().failures, 0u);
@@ -180,10 +179,10 @@ TEST(Witness, DepthZeroDisablesCapture) {
 TEST(Witness, PartialRingBeforeWraparound) {
   // Only two transactions before the verdict: the ring holds both.
   const psl::TlmProperty p = tlm_prop("w: always (!ds || next_e[1,20](rdy)) @Tb");
-  checker::TlmCheckerWrapper wrapper(p, 10);
+  checker::PropertyChecker wrapper(p.name, p.formula, p.context.guard, 10);
   wrapper.set_witness_depth(8);
-  wrapper.on_transaction(10, des_values(true, false));
-  wrapper.on_transaction(30, des_values(false, false));
+  wrapper.on_event(10, des_values(true, false));
+  wrapper.on_event(30, des_values(false, false));
   wrapper.finish();
   ASSERT_FALSE(wrapper.failures().empty());
   EXPECT_EQ(wrapper.failures().front().witness.size(), 2u);
@@ -256,13 +255,14 @@ TEST(TraceSink, EngineEmitsOneLanePerShardWithCausalSpans) {
   options.trace = &sink;
   options.metrics = &metrics;
   abv::EvalEngine engine(options);
-  std::vector<std::unique_ptr<checker::TlmCheckerWrapper>> wrappers;
+  std::vector<std::unique_ptr<checker::PropertyChecker>> wrappers;
   for (const char* text :
        {"a: always (!ds || next_e[1,40](rdy)) @Tb",
         "b: always (!ds || next_e[1,80](rdy)) @Tb",
         "c: always (!ds || next_e[1,40](rdy)) @Tb"}) {
-    wrappers.push_back(
-        std::make_unique<checker::TlmCheckerWrapper>(tlm_prop(text), 10));
+    const psl::TlmProperty p = tlm_prop(text);
+    wrappers.push_back(std::make_unique<checker::PropertyChecker>(
+        p.name, p.formula, p.context.guard, 10));
     engine.add(wrappers.back().get());
   }
   sim::Time t = 10;
@@ -387,7 +387,8 @@ psl::RtlProperty rtl_prop(const std::string& text) {
 TEST(Report, PrintSizesColumnsToLongNamesAndAddsTotals) {
   const psl::RtlProperty p = rtl_prop(
       "a_property_with_a_very_long_descriptive_name: always (!ds || rdy) @clk_pos");
-  checker::PropertyChecker checker(p.name, p.formula, p.context.guard);
+  checker::PropertyChecker checker(p.name, p.formula, p.context.guard,
+                                   checker::kEventCounted);
   abv::Report report;
   report.add(checker);
   std::ostringstream os;
@@ -432,7 +433,8 @@ TEST(Report, DiffIsEmptyForIdenticalRunsAndSignedOtherwise) {
 
 TEST(Report, DiffReportsPropertiesMissingFromOneSide) {
   const psl::RtlProperty p = rtl_prop("only_a: always (rdy) @clk_pos");
-  checker::PropertyChecker checker(p.name, p.formula, p.context.guard);
+  checker::PropertyChecker checker(p.name, p.formula, p.context.guard,
+                                   checker::kEventCounted);
   checker::MapContext values;
   values.set("rdy", 1);
   checker.on_event(10, values);
