@@ -1,6 +1,8 @@
 #include "checker/trace.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace repro::checker {
 
@@ -15,7 +17,14 @@ const char* to_string(Verdict v) {
 
 uint64_t MapContext::value(std::string_view name) const {
   auto it = values_.find(std::string(name));
-  assert(it != values_.end() && "signal not present in evaluation context");
+  if (it == values_.end()) {
+    // An assert would vanish under NDEBUG and the dereference would be UB;
+    // fail fast with the name instead.
+    std::fprintf(stderr,
+                 "fatal: signal '%.*s' not present in evaluation context\n",
+                 static_cast<int>(name.size()), name.data());
+    std::abort();
+  }
   return it->second;
 }
 
