@@ -134,11 +134,11 @@ psl::TlmProperty tlm_prop(const std::string& text) {
 
 tlm::TransactionRecord make_record(sim::Time end, uint64_t ds, uint64_t rdy,
                                    uint64_t out) {
-  static auto keys = std::make_shared<tlm::Snapshot::Keys>(
-      tlm::Snapshot::Keys{"ds", "rdy", "out"});
+  static auto keys = std::make_shared<support::Snapshot::Keys>(
+      support::Snapshot::Keys{"ds", "rdy", "out"});
   tlm::TransactionRecord record;
   record.end = end;
-  record.observables = tlm::Snapshot(keys);
+  record.observables = support::Snapshot(keys);
   record.observables.set("ds", ds);
   record.observables.set("rdy", rdy);
   record.observables.set("out", out);

@@ -58,12 +58,13 @@ checker::Trace make_trace(size_t length) {
   trace.reserve(length);
   psl::TimeNs t = 0;
   size_t since_ds = 1000;
+  const auto keys = std::make_shared<const support::Snapshot::Keys>(
+      support::Snapshot::Keys{"ds", "rdy", "out", "indata", "monitor_en"});
   for (size_t i = 0; i < length; ++i) {
     t += 5 + rng.below(46);  // 5..50 ns between transaction ends
     const bool ds = rng.chance(1, 5);
     if (ds) since_ds = 0; else ++since_ds;
-    checker::Observation ob;
-    ob.time = t;
+    checker::Observation ob{t, support::Snapshot(keys)};
     ob.values.set("ds", ds ? 1 : 0);
     // rdy usually follows an accepted operation a few events later.
     ob.values.set("rdy", (!ds && since_ds >= 2 && rng.chance(3, 5)) ? 1 : 0);

@@ -55,8 +55,8 @@ tlm::RecordStreamMeta bench_meta() {
 }
 
 std::vector<tlm::TransactionRecord> synth_records(size_t count) {
-  auto keys = std::make_shared<tlm::Snapshot::Keys>(
-      tlm::Snapshot::Keys{"ds", "rdy", "out"});
+  auto keys = std::make_shared<support::Snapshot::Keys>(
+      support::Snapshot::Keys{"ds", "rdy", "out"});
   std::vector<tlm::TransactionRecord> records;
   records.reserve(count);
   sim::Time t = 10;
@@ -66,7 +66,7 @@ std::vector<tlm::TransactionRecord> synth_records(size_t count) {
     r.end = t + 40;
     r.address = i % 7;
     r.data = {0xC0FFEE00 + i, i * i};
-    r.observables = tlm::Snapshot(keys);
+    r.observables = support::Snapshot(keys);
     r.observables.set("ds", i % 3 == 0 ? 1 : 0);
     r.observables.set("rdy", i % 3 == 0 ? 0 : 1);
     r.observables.set("out", i % 5 == 0 ? 0 : i);

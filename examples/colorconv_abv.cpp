@@ -92,16 +92,15 @@ bool buggy_model_is_caught() {
                                       suite.clock_period_ns);
 
   auto transaction = [&](psl::TimeNs t, bool ds, uint64_t y) {
-    checker::MapContext values;
-    values.set("ds", ds ? 1 : 0);
-    values.set("r", 10);
-    values.set("g", 20);
-    values.set("b", 30);
-    values.set("sof", 0);
-    values.set("rdy", ds ? 0 : 1);
-    values.set("y", y);
-    values.set("cb", 128);
-    values.set("cr", 128);
+    const support::Snapshot values({{"b", 30},
+                                    {"cb", 128},
+                                    {"cr", 128},
+                                    {"ds", ds ? 1 : 0},
+                                    {"g", 20},
+                                    {"r", 10},
+                                    {"rdy", ds ? 0 : 1},
+                                    {"sof", 0},
+                                    {"y", y}});
     c2_checker.on_event(t, values);
   };
   transaction(100, true, 0);    // pixel accepted
@@ -113,13 +112,11 @@ bool buggy_model_is_caught() {
   const checker::Failure& failure = c2_checker.failures().front();
   std::printf("witness ring at the verdict (%zu transaction%s):\n",
               failure.witness.size(), failure.witness.size() == 1 ? "" : "s");
-  for (const checker::WitnessEntry& entry : failure.witness) {
+  for (const checker::Observation& entry : failure.witness) {
     std::printf("  t=%4llu ns:", static_cast<unsigned long long>(entry.time));
-    if (entry.observables != nullptr) {
-      for (const auto& [name, value] : *entry.observables) {
-        std::printf(" %s=%llu", name.c_str(),
-                    static_cast<unsigned long long>(value));
-      }
+    for (size_t i = 0; i < entry.values.size(); ++i) {
+      std::printf(" %s=%llu", (*entry.values.keys())[i].c_str(),
+                  static_cast<unsigned long long>(entry.values.at(i)));
     }
     std::printf("\n");
   }

@@ -316,13 +316,11 @@ int main(int argc, char** argv) {
                   demo->failures == 1 ? "" : "s",
                   static_cast<unsigned long long>(first.time),
                   first.witness.size(), first.witness.size() == 1 ? "" : "s");
-      for (const checker::WitnessEntry& entry : first.witness) {
+      for (const checker::Observation& entry : first.witness) {
         std::printf("  t=%6llu ns:", static_cast<unsigned long long>(entry.time));
-        if (entry.observables != nullptr) {
-          for (const auto& [name, value] : *entry.observables) {
-            std::printf(" %s=%llu", name.c_str(),
-                        static_cast<unsigned long long>(value));
-          }
+        for (size_t i = 0; i < entry.values.size(); ++i) {
+          std::printf(" %s=%llu", (*entry.values.keys())[i].c_str(),
+                      static_cast<unsigned long long>(entry.values.at(i)));
         }
         std::printf("\n");
       }

@@ -41,10 +41,8 @@ int main() {
   checker::PropertyChecker monitor(q1.name, q1.formula, q1.context.guard,
                                    /*clock_period_ns=*/10);
   auto transaction = [&](psl::TimeNs t, bool ds, uint64_t indata, uint64_t out) {
-    checker::MapContext values;
-    values.set("ds", ds ? 1 : 0);
-    values.set("indata", indata);
-    values.set("out", out);
+    const support::Snapshot values(
+        {{"ds", ds ? 1 : 0}, {"indata", indata}, {"out", out}});
     monitor.on_event(t, values);
   };
   transaction(100, true, 0, 0);            // write: operation starts

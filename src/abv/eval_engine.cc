@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "abv/snapshot_context.h"
 #include "support/tracelog.h"
 
 namespace repro::abv {
@@ -114,9 +113,8 @@ void EvalEngine::process_batch(Shard& shard, size_t s, Batch* batch) {
       options_.trace != nullptr || options_.metrics != nullptr;
   const uint64_t t0 = instrumented ? tick() : 0;
   for (const tlm::TransactionRecord& record : batch->span) {
-    const ObservablesContext ctx(record.observables);
     for (checker::PropertyChecker* c : shard.checkers) {
-      c->on_event(record.end, ctx);
+      c->on_event(record.end, record.observables);
     }
   }
   // Everything needed after release is copied out first: once this shard
@@ -227,8 +225,9 @@ void EvalEngine::on_record(const tlm::TransactionRecord& record) {
   if (options_.config.jobs == 1) {
     // Exact historical serial path: evaluate synchronously, no buffering.
     if (options_.record_writer != nullptr) options_.record_writer->append(record);
-    const ObservablesContext ctx(record.observables);
-    for (checker::PropertyChecker* c : checkers_) c->on_event(record.end, ctx);
+    for (checker::PropertyChecker* c : checkers_) {
+      c->on_event(record.end, record.observables);
+    }
     count_record(record.end);
     return;
   }

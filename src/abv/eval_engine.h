@@ -24,9 +24,9 @@
 //     undrained batches always form a contiguous suffix of the sealed
 //     sequence; recycled arena segments and batch tickets can never be
 //     observed by a stale reader.
-//   - Failure witnesses deep-copy the observables they retain (see
-//     ObservablesContext::witness_values), so they stay valid after the
-//     arena recycles a segment.
+//   - Checkers read each record's observable row in place. Failure
+//     witnesses copy the rows they retain (values plus the model's shared
+//     key table), so they stay valid after the arena recycles a segment.
 //   - `jobs = 1` bypasses the arena and threads entirely and dispatches
 //     records synchronously, which is bit-identical to the historical
 //     serial path.

@@ -232,15 +232,13 @@ void Report::write_json(std::ostream& os, const ReportTiming* timing) const {
       os << (f == 0 ? "\n" : ",\n");
       os << "       {\"time_ns\": " << failure.time << ", \"witness\": [";
       for (size_t w = 0; w < failure.witness.size(); ++w) {
-        const checker::WitnessEntry& entry = failure.witness[w];
+        const checker::Observation& entry = failure.witness[w];
         os << (w == 0 ? "\n" : ",\n");
         os << "         {\"time_ns\": " << entry.time << ", \"observables\": {";
-        if (entry.observables != nullptr) {
-          for (size_t o = 0; o < entry.observables->size(); ++o) {
-            if (o != 0) os << ", ";
-            support::json::write_string(os, (*entry.observables)[o].first);
-            os << ": " << (*entry.observables)[o].second;
-          }
+        for (size_t o = 0; o < entry.values.size(); ++o) {
+          if (o != 0) os << ", ";
+          support::json::write_string(os, (*entry.values.keys())[o]);
+          os << ": " << entry.values.at(o);
         }
         os << "}}";
       }

@@ -1,31 +1,12 @@
 #include "abv/rtl_env.h"
 
-#include <cstdio>
-#include <cstdlib>
-
-#include "abv/snapshot_context.h"
 #include "support/tracelog.h"
 
 namespace repro::abv {
 
-uint64_t SignalBag::value(std::string_view name) const {
-  auto it = getters_.find(name);
-  if (it == getters_.end()) {
-    // Fail fast with the name, as ObservablesContext::value does.
-    std::fprintf(stderr, "fatal: signal '%.*s' not registered in SignalBag\n",
-                 static_cast<int>(name.size()), name.data());
-    std::abort();
-  }
-  return it->second();
-}
-
-bool SignalBag::has(std::string_view name) const {
-  return getters_.find(name) != getters_.end();
-}
-
-std::shared_ptr<const tlm::Snapshot::Keys> SignalBag::keys() const {
+std::shared_ptr<const support::Snapshot::Keys> SignalBag::keys() const {
   if (keys_cache_ == nullptr) {
-    auto keys = std::make_shared<tlm::Snapshot::Keys>();
+    auto keys = std::make_shared<support::Snapshot::Keys>();
     keys->reserve(getters_.size());
     for (const auto& [name, getter] : getters_) keys->push_back(name);
     keys_cache_ = std::move(keys);
@@ -33,7 +14,7 @@ std::shared_ptr<const tlm::Snapshot::Keys> SignalBag::keys() const {
   return keys_cache_;
 }
 
-void SignalBag::sample_into(tlm::Snapshot& snapshot) const {
+void SignalBag::sample_into(support::Snapshot& snapshot) const {
   // The snapshot was built over keys() (map order), so index i is the i-th
   // getter: one pass, no name lookups.
   size_t i = 0;
@@ -64,7 +45,7 @@ void RtlAbvEnv::add_property(const psl::RtlProperty& property) {
 void RtlAbvEnv::attach(sim::Clock& clock) {
   // One value vector reused for every sampled edge; the key table is shared
   // with the bag (single allocation for the whole run).
-  sample_buffer_ = tlm::Snapshot(signals_.keys());
+  sample_buffer_ = support::Snapshot(signals_.keys());
   // Sample after the design settles: edge callbacks run in the evaluate
   // phase; signal writes commit in the update phase; watcher cascades run in
   // the following deltas. Three nested deltas cover the register-style
@@ -103,7 +84,7 @@ void RtlAbvEnv::sample(bool rising) {
 }
 
 void RtlAbvEnv::on_sample(psl::TimeNs now, bool rising,
-                          const tlm::Snapshot& values) {
+                          const support::Snapshot& values) {
   if (record_writer_ != nullptr) {
     // Each evaluation point becomes one record; replay feeds the same
     // (time, edge, snapshot) triples back through on_records.
@@ -115,7 +96,6 @@ void RtlAbvEnv::on_sample(psl::TimeNs now, bool rising,
     record.observables = values;
     record_writer_->append(record);
   }
-  const ObservablesContext ctx(values);
   const auto& checkers = set_.checkers();
   for (size_t i = 0; i < checkers.size(); ++i) {
     const psl::ClockContext::Kind kind = kinds_[i];
@@ -124,7 +104,7 @@ void RtlAbvEnv::on_sample(psl::TimeNs now, bool rising,
         (rising && (kind == psl::ClockContext::Kind::kClkPos ||
                     kind == psl::ClockContext::Kind::kTrue)) ||
         (!rising && kind == psl::ClockContext::Kind::kClkNeg);
-    if (wants) checkers[i]->on_event(now, ctx);
+    if (wants) checkers[i]->on_event(now, values);
   }
 }
 

@@ -7,11 +7,11 @@
 // visible — and feeds the evaluation event to the checker.
 //
 // Sampling follows the same arena discipline as the TLM engine: the signal
-// bag is read ONCE per event into a reusable tlm::Snapshot (one getter call
-// per signal, not one per signal per checker), and every checker selected
-// at that edge evaluates against the same read-only ObservablesContext.
-// With a single synchronous consumer the snapshot buffer is recycled in
-// place — the degenerate one-reader case of support::BatchArena.
+// bag is read ONCE per event into a reusable support::Snapshot (one getter
+// call per signal, not one per signal per checker), and every checker
+// selected at that edge reads that same row. With a single synchronous
+// consumer the row is recycled in place — the degenerate one-reader case of
+// support::BatchArena.
 #ifndef REPRO_ABV_RTL_ENV_H_
 #define REPRO_ABV_RTL_ENV_H_
 
@@ -37,9 +37,8 @@ namespace repro::abv {
 
 // Named read accessors into the design under verification. RTL models
 // register their observable signals here; the environment samples them into
-// per-event snapshots (it remains a ValueContext for direct, unsampled
-// evaluation in tests and tools).
-class SignalBag : public checker::ValueContext {
+// per-event snapshots.
+class SignalBag {
  public:
   void add(const std::string& name, std::function<uint64_t()> getter) {
     getters_[name] = std::move(getter);
@@ -52,21 +51,18 @@ class SignalBag : public checker::ValueContext {
     add(name, [&signal] { return signal.read() ? uint64_t{1} : uint64_t{0}; });
   }
 
-  uint64_t value(std::string_view name) const override;
-  bool has(std::string_view name) const override;
-
   // Shared key table over the registered names (map order, so the index
   // layout is deterministic); built lazily, invalidated by add(). Feed it
-  // to tlm::Snapshot so all snapshots of this bag share one allocation.
-  std::shared_ptr<const tlm::Snapshot::Keys> keys() const;
+  // to support::Snapshot so all snapshots of this bag share one allocation.
+  std::shared_ptr<const support::Snapshot::Keys> keys() const;
 
   // Reads every getter once into `snapshot`, which must have been built
   // over this bag's keys().
-  void sample_into(tlm::Snapshot& snapshot) const;
+  void sample_into(support::Snapshot& snapshot) const;
 
  private:
-  std::map<std::string, std::function<uint64_t()>, std::less<>> getters_;
-  mutable std::shared_ptr<const tlm::Snapshot::Keys> keys_cache_;
+  std::map<std::string, std::function<uint64_t()>> getters_;
+  mutable std::shared_ptr<const support::Snapshot::Keys> keys_cache_;
 };
 
 class RtlAbvEnv {
@@ -109,7 +105,8 @@ class RtlAbvEnv {
   // if any, and dispatches `values` to every checker selected at that edge
   // kind. attach()'s sampling callbacks land here; offline replay calls it
   // with recorded snapshots, no clock or live design needed.
-  void on_sample(psl::TimeNs now, bool rising, const tlm::Snapshot& values);
+  void on_sample(psl::TimeNs now, bool rising,
+                 const support::Snapshot& values);
 
   // on_sample for each replayed edge record (layout: set_record_writer).
   void on_records(const tlm::TransactionRecord* begin,
@@ -144,7 +141,7 @@ class RtlAbvEnv {
   std::vector<psl::ClockContext::Kind> kinds_;  // per entry of checkers()
   // Reusable per-event snapshot buffer, built over signals_.keys() at
   // attach(); refilled (recycled) at every sampled edge.
-  tlm::Snapshot sample_buffer_;
+  support::Snapshot sample_buffer_;
   bool any_pos_ = false;
   bool any_neg_ = false;
 };

@@ -22,7 +22,6 @@
 #include "abv/eval_engine.h"
 #include "abv/prune_runtime.h"
 #include "abv/report.h"
-#include "abv/snapshot_context.h"
 #include "psl/ast.h"
 #include "support/coverage.h"
 #include "support/metrics.h"

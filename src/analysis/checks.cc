@@ -457,8 +457,8 @@ void check_env_binding(CheckContext& ctx) {
   }
   // TLM side: the abstracted formula and the mapped transaction-context
   // guard evaluate against the TLM environment's transaction snapshots —
-  // this turns the runtime ObservablesContext::value fail-fast into a
-  // pre-simulation diagnostic.
+  // this turns the runtime Snapshot::value fail-fast into a pre-simulation
+  // diagnostic.
   if (!ctx.options.tlm_observables.empty() && !ctx.outcome.deleted()) {
     const ExprId tlm = t.intern(ctx.outcome.property->formula);
     bind_names(ctx, t.signals(tlm), ctx.options.tlm_observables, "atom",

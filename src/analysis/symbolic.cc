@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <memory>
 
 #include "analysis/checks.h"
 #include "checker/program.h"
@@ -520,20 +521,24 @@ bool SymbolicEval::solve_step(
     if (combos > 20000) return false;
   }
   std::vector<size_t> pick(signals.size(), 0);
+  support::Snapshot row(
+      std::make_shared<const support::Snapshot::Keys>(signals));
   for (size_t c = 0; c < combos; ++c) {
-    checker::MapContext ctx;
     for (size_t i = 0; i < signals.size(); ++i) {
-      ctx.set(signals[i], candidates[signals[i]][pick[i]]);
+      row.set_at(i, candidates[signals[i]][pick[i]]);
     }
     bool ok = true;
     for (size_t a = 0; a < atoms.size() && ok; ++a) {
       if (required[a].has_value() &&
-          checker::eval_atom(atoms[a], ctx) != *required[a]) {
+          checker::eval_atom(atoms[a], row) != *required[a]) {
         ok = false;
       }
     }
     if (ok) {
-      values.assign(ctx.entries().begin(), ctx.entries().end());
+      values.clear();
+      for (size_t i = 0; i < signals.size(); ++i) {
+        values.emplace_back(signals[i], row.at(i));
+      }
       return true;
     }
     for (size_t i = 0; i < pick.size(); ++i) {
@@ -882,9 +887,8 @@ checker::Verdict replay_witness(const psl::ExprPtr& formula,
   if (body == nullptr || witness.empty()) return checker::Verdict::kPending;
   checker::ProgramState state(Program::compile(body));
   for (const TraceEvent& te : witness) {
-    checker::MapContext ctx;
-    for (const auto& [name, value] : te.values) ctx.set(name, value);
-    const checker::Event ev{te.time, &ctx};
+    const support::Snapshot values(te.values);
+    const checker::Event ev{te.time, &values};
     const checker::Verdict v = state.step(ev);
     // The concrete engine retires an instance at its first informative
     // verdict; later events no longer matter.

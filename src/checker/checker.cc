@@ -179,21 +179,21 @@ void PropertyChecker::set_witness_depth(size_t depth) {
 }
 
 void PropertyChecker::capture_witness(psl::TimeNs time,
-                                        const ValueContext& values) {
-  auto observables = values.witness_values();
-  if (observables == nullptr) return;  // context cannot enumerate its signals
+                                      const support::Snapshot& values) {
   if (witness_ring_.size() < witness_depth_) {
-    witness_ring_.push_back({time, std::move(observables)});
+    witness_ring_.push_back({time, values});
   } else {
-    witness_ring_[witness_next_] = {time, std::move(observables)};
+    Observation& slot = witness_ring_[witness_next_];
+    slot.time = time;
+    slot.values = values;
     witness_next_ = (witness_next_ + 1) % witness_depth_;
   }
 }
 
-std::vector<WitnessEntry> PropertyChecker::witness_snapshot() const {
+Trace PropertyChecker::witness_snapshot() const {
   // Oldest first: once the ring is full, witness_next_ points at the oldest
   // entry; before that, insertion order is already chronological.
-  std::vector<WitnessEntry> out;
+  Trace out;
   out.reserve(witness_ring_.size());
   for (size_t i = 0; i < witness_ring_.size(); ++i) {
     out.push_back(witness_ring_[(witness_next_ + i) % witness_ring_.size()]);
@@ -273,7 +273,8 @@ void PropertyChecker::prime_cohorts(psl::TimeNs time, const Event& ev) {
   }
 }
 
-void PropertyChecker::on_event(psl::TimeNs time, const ValueContext& values) {
+void PropertyChecker::on_event(psl::TimeNs time,
+                               const support::Snapshot& values) {
   ++stats_.events;
   last_time_ = time;
   if (witness_depth_ > 0) capture_witness(time, values);

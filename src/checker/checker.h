@@ -80,7 +80,7 @@ struct CheckerOptions {
 struct Failure {
   psl::TimeNs time = 0;
   std::string property;
-  std::vector<WitnessEntry> witness;
+  Trace witness;
 };
 
 // Static sizing of a checker's instance pool (Sec. IV point 1), shared with
@@ -150,8 +150,9 @@ class PropertyChecker {
   PropertyChecker(std::string name, psl::ExprPtr formula, psl::ExprPtr guard,
                   psl::TimeNs clock_period_ns, CheckerOptions options = {});
 
-  // Feeds one evaluation event (a clock edge or a transaction end).
-  void on_event(psl::TimeNs time, const ValueContext& values);
+  // Feeds one evaluation event (a clock edge or a transaction end). `values`
+  // is only borrowed for the call: the witness ring copies what it keeps.
+  void on_event(psl::TimeNs time, const support::Snapshot& values);
 
   // Ends the trace: resolves outstanding instances with truncated semantics,
   // attributed to the last observed event.
@@ -218,8 +219,8 @@ class PropertyChecker {
   std::unique_ptr<Instance> make_instance();
   void fill_pool();
   void prime_cohorts(psl::TimeNs time, const Event& ev);
-  void capture_witness(psl::TimeNs time, const ValueContext& values);
-  std::vector<WitnessEntry> witness_snapshot() const;
+  void capture_witness(psl::TimeNs time, const support::Snapshot& values);
+  Trace witness_snapshot() const;
 
   std::string name_;
   psl::ExprPtr formula_;   // keeps the AST alive for node back-references
@@ -256,9 +257,11 @@ class PropertyChecker {
   std::vector<Failure> failure_log_;  // capped at options_.failure_log_cap
 
   // Failure-witness ring buffer: the last `witness_depth_` events, written
-  // circularly (witness_next_ is the overwrite position once full).
+  // circularly (witness_next_ is the overwrite position once full). A full
+  // ring overwrites its slots in place, so steady-state capture allocates
+  // nothing; failures copy the ring out.
   size_t witness_depth_ = 0;
-  std::vector<WitnessEntry> witness_ring_;
+  Trace witness_ring_;
   size_t witness_next_ = 0;
 
   // Activation-to-verdict latency in simulation ns.

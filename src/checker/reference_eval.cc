@@ -29,10 +29,6 @@ Verdict or3(Verdict a, Verdict b) {
   return Verdict::kFalse;
 }
 
-bool eval_atom_or_bool(const ExprPtr& b, const ValueContext& ctx) {
-  return eval_boolean(b, ctx);
-}
-
 Verdict boundary(bool complete, bool weak) {
   if (!complete) return Verdict::kPending;
   return weak ? Verdict::kTrue : Verdict::kFalse;
@@ -112,7 +108,7 @@ Verdict eval(const ExprPtr& e, const Trace& trace, size_t i, bool complete) {
       size_t reset = trace.size();
       bool has_reset = false;
       for (size_t k = i; k < trace.size(); ++k) {
-        if (eval_atom_or_bool(e->rhs, trace[k].values)) {
+        if (eval_boolean(e->rhs, trace[k].values)) {
           reset = k;
           has_reset = true;
           break;

@@ -1,6 +1,8 @@
 #include "checker/trace_io.h"
 
+#include <algorithm>
 #include <charconv>
+#include <memory>
 
 #include "support/strutil.h"
 
@@ -25,7 +27,8 @@ Result<uint64_t> parse_value(std::string_view text, int line) {
 
 Result<Trace> parse_trace_csv(std::string_view text) {
   Trace trace;
-  std::vector<std::string> columns;
+  // The header is the key table every row shares.
+  std::shared_ptr<const support::Snapshot::Keys> columns;
   int line_number = 0;
   size_t pos = 0;
   while (pos <= text.size()) {
@@ -40,35 +43,43 @@ Result<Trace> parse_trace_csv(std::string_view text) {
       continue;
     }
     const std::vector<std::string> cells = split_and_trim(line, ',');
-    if (columns.empty()) {
+    if (columns == nullptr) {
       // Header row.
       if (cells.size() < 2 || cells[0] != "time") {
         return Error{"trace header must be 'time,<sig>,...'", line_number};
       }
-      columns.assign(cells.begin() + 1, cells.end());
+      auto keys = std::make_shared<support::Snapshot::Keys>(cells.begin() + 1,
+                                                            cells.end());
+      for (size_t i = 0; i < keys->size(); ++i) {
+        if (std::find(keys->begin(), keys->begin() + i, (*keys)[i]) !=
+            keys->begin() + i) {
+          return Error{"duplicate column '" + (*keys)[i] + "'", line_number};
+        }
+      }
+      columns = std::move(keys);
       continue;
     }
-    if (cells.size() != columns.size() + 1) {
+    if (cells.size() != columns->size() + 1) {
       return Error{"row has " + std::to_string(cells.size()) + " cells, expected " +
-                       std::to_string(columns.size() + 1),
+                       std::to_string(columns->size() + 1),
                    line_number};
     }
-    Observation o;
+    Observation o{0, support::Snapshot(columns)};
     auto time = parse_value(cells[0], line_number);
     if (!time.ok()) return time.error();
     o.time = time.value();
     if (!trace.empty() && o.time <= trace.back().time) {
       return Error{"timestamps must be strictly increasing", line_number};
     }
-    for (size_t i = 0; i < columns.size(); ++i) {
+    for (size_t i = 0; i < columns->size(); ++i) {
       auto value = parse_value(cells[i + 1], line_number);
       if (!value.ok()) return value.error();
-      o.values.set(columns[i], value.value());
+      o.values.set_at(i, value.value());
     }
     trace.push_back(std::move(o));
     if (pos > text.size()) break;
   }
-  if (columns.empty()) {
+  if (columns == nullptr) {
     return Error{"empty trace file", 0};
   }
   return trace;
@@ -77,14 +88,15 @@ Result<Trace> parse_trace_csv(std::string_view text) {
 std::string to_csv(const Trace& trace) {
   std::string out = "time";
   if (trace.empty()) return out + "\n";
-  for (const auto& [name, value] : trace.front().values.entries()) {
+  const support::Snapshot::Keys& columns = *trace.front().values.keys();
+  for (const std::string& name : columns) {
     out += ",";
     out += name;
   }
   out += "\n";
   for (const Observation& o : trace) {
     out += std::to_string(o.time);
-    for (const auto& [name, value] : trace.front().values.entries()) {
+    for (const std::string& name : columns) {
       out += ",";
       out += std::to_string(o.values.value(name));
     }

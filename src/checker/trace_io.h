@@ -22,12 +22,13 @@
 
 namespace repro::checker {
 
-// Parses a CSV trace; fails on malformed headers, rows with the wrong arity,
-// unparsable values, or non-increasing timestamps.
+// Parses a CSV trace; every row shares the header as its key table. Fails on
+// malformed headers (including duplicate columns), rows with the wrong
+// arity, unparsable values, or non-increasing timestamps.
 Result<Trace> parse_trace_csv(std::string_view text);
 
-// Serializes a trace. The signal columns are the union of the signals
-// appearing in the first observation (all observations must agree).
+// Serializes a trace. The signal columns are the first observation's key
+// table, in its order (every observation must carry those signals).
 std::string to_csv(const Trace& trace);
 
 }  // namespace repro::checker

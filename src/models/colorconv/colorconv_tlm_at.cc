@@ -27,17 +27,18 @@ void ColorConvTlmAt::prune(sim::Time now) {
   }
 }
 
-tlm::Snapshot ColorConvTlmAt::snapshot(bool ds, uint8_t r, uint8_t g,
+support::Snapshot ColorConvTlmAt::snapshot(bool ds, uint8_t r, uint8_t g,
                                        uint8_t b, uint64_t sof, sim::Time at) {
   if (!keys_) {
-    auto keys = std::make_shared<tlm::Snapshot::Keys>(tlm::Snapshot::Keys{
-        "ds", "r", "g", "b", "sof", "y", "cb", "cr", "rdy"});
+    auto keys = std::make_shared<support::Snapshot::Keys>(
+        support::Snapshot::Keys{"ds", "r", "g", "b", "sof", "y", "cb", "cr",
+                                "rdy"});
     for (const auto& [name, value] : statics_) keys->push_back(name);
     keys_ = keys;
-    proto_ = tlm::Snapshot(keys_);
+    proto_ = support::Snapshot(keys_);
     for (const auto& [name, value] : statics_) proto_.set(name, value);
   }
-  tlm::Snapshot values = proto_;
+  support::Snapshot values = proto_;
   const Ycbcr out = out_at(at);
   values.set_at(kDsIdx, ds ? 1 : 0);
   values.set_at(kR, r);

@@ -64,15 +64,15 @@ class ColorConvTlmAt : public tlm::TargetIf {
   bool rdy_at(sim::Time t) const;
   Ycbcr out_at(sim::Time t) const;
   void prune(sim::Time now);
-  tlm::Snapshot snapshot(bool ds, uint8_t r, uint8_t g, uint8_t b,
+  support::Snapshot snapshot(bool ds, uint8_t r, uint8_t g, uint8_t b,
                          uint64_t sof, sim::Time at);
 
   sim::Kernel& kernel_;
   tlm::TransactionRecorder* recorder_;
   sim::Time period_;
   std::vector<std::pair<std::string, uint64_t>> statics_;
-  std::shared_ptr<const tlm::Snapshot::Keys> keys_;
-  tlm::Snapshot proto_;
+  std::shared_ptr<const support::Snapshot::Keys> keys_;
+  support::Snapshot proto_;
 
   std::deque<InFlight> in_flight_;
   Ycbcr last_out_{};

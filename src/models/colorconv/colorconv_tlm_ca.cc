@@ -2,13 +2,14 @@
 
 namespace repro::models {
 
-const tlm::Snapshot& ColorConvTlmCa::prototype() {
+const support::Snapshot& ColorConvTlmCa::prototype() {
   if (!keys_) {
-    auto keys = std::make_shared<tlm::Snapshot::Keys>(tlm::Snapshot::Keys{
-        "ds", "r", "g", "b", "sof", "y", "cb", "cr", "rdy", "rdy_next_cycle"});
+    auto keys = std::make_shared<support::Snapshot::Keys>(
+        support::Snapshot::Keys{"ds", "r", "g", "b", "sof", "y", "cb", "cr",
+                                "rdy", "rdy_next_cycle"});
     for (const auto& [name, value] : statics_) keys->push_back(name);
     keys_ = keys;
-    proto_ = tlm::Snapshot(keys_);
+    proto_ = support::Snapshot(keys_);
     for (const auto& [name, value] : statics_) proto_.set(name, value);
   }
   return proto_;

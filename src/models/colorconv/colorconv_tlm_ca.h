@@ -29,12 +29,12 @@ class ColorConvTlmCa : public tlm::TargetIf {
  private:
   enum : size_t { kDsIdx, kR, kG, kB, kSof, kY, kCb, kCr, kRdy, kRdyNc };
 
-  const tlm::Snapshot& prototype();
+  const support::Snapshot& prototype();
 
   ColorConvPipeline core_;
   std::vector<std::pair<std::string, uint64_t>> statics_;
-  std::shared_ptr<const tlm::Snapshot::Keys> keys_;
-  tlm::Snapshot proto_;
+  std::shared_ptr<const support::Snapshot::Keys> keys_;
+  support::Snapshot proto_;
 };
 
 }  // namespace repro::models

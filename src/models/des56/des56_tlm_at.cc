@@ -2,16 +2,17 @@
 
 namespace repro::models {
 
-tlm::Snapshot Des56TlmAt::snapshot(bool ds, bool rdy, uint64_t out) {
+support::Snapshot Des56TlmAt::snapshot(bool ds, bool rdy, uint64_t out) {
   if (!keys_) {
-    auto keys = std::make_shared<tlm::Snapshot::Keys>(
-        tlm::Snapshot::Keys{"ds", "indata", "key", "decrypt", "out", "rdy"});
+    auto keys = std::make_shared<support::Snapshot::Keys>(
+        support::Snapshot::Keys{"ds", "indata", "key", "decrypt", "out",
+                                "rdy"});
     for (const auto& [name, value] : statics_) keys->push_back(name);
     keys_ = keys;
-    proto_ = tlm::Snapshot(keys_);
+    proto_ = support::Snapshot(keys_);
     for (const auto& [name, value] : statics_) proto_.set(name, value);
   }
-  tlm::Snapshot values = proto_;
+  support::Snapshot values = proto_;
   values.set_at(kDs, ds ? 1 : 0);
   values.set_at(kIndata, indata_);
   values.set_at(kKey, key_);
@@ -22,7 +23,7 @@ tlm::Snapshot Des56TlmAt::snapshot(bool ds, bool rdy, uint64_t out) {
 }
 
 void Des56TlmAt::emit_phase(sim::Time at, tlm::Command command,
-                            tlm::Snapshot observables) {
+                            support::Snapshot observables) {
   if (recorder_ == nullptr || !recorder_->active()) return;
   tlm::TransactionRecord record;
   record.start = kernel_.now();

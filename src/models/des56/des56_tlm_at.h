@@ -48,15 +48,16 @@ class Des56TlmAt : public tlm::TargetIf {
  private:
   enum : size_t { kDs, kIndata, kKey, kDecrypt, kOut, kRdy };
 
-  tlm::Snapshot snapshot(bool ds, bool rdy, uint64_t out);
-  void emit_phase(sim::Time at, tlm::Command command, tlm::Snapshot observables);
+  support::Snapshot snapshot(bool ds, bool rdy, uint64_t out);
+  void emit_phase(sim::Time at, tlm::Command command,
+                  support::Snapshot observables);
 
   sim::Kernel& kernel_;
   tlm::TransactionRecorder* recorder_;  // may be null (unmonitored run)
   sim::Time period_;
   std::vector<std::pair<std::string, uint64_t>> statics_;
-  std::shared_ptr<const tlm::Snapshot::Keys> keys_;
-  tlm::Snapshot proto_;
+  std::shared_ptr<const support::Snapshot::Keys> keys_;
+  support::Snapshot proto_;
 
   uint64_t indata_ = 0;
   uint64_t key_ = 0;

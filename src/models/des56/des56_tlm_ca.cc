@@ -2,14 +2,14 @@
 
 namespace repro::models {
 
-const tlm::Snapshot& Des56TlmCa::prototype() {
+const support::Snapshot& Des56TlmCa::prototype() {
   if (!keys_) {
-    auto keys = std::make_shared<tlm::Snapshot::Keys>(tlm::Snapshot::Keys{
-        "ds", "indata", "key", "decrypt", "out", "rdy", "rdy_next_cycle",
-        "rdy_next_next_cycle"});
+    auto keys = std::make_shared<support::Snapshot::Keys>(
+        support::Snapshot::Keys{"ds", "indata", "key", "decrypt", "out", "rdy",
+                                "rdy_next_cycle", "rdy_next_next_cycle"});
     for (const auto& [name, value] : statics_) keys->push_back(name);
     keys_ = keys;
-    proto_ = tlm::Snapshot(keys_);
+    proto_ = support::Snapshot(keys_);
     for (const auto& [name, value] : statics_) proto_.set(name, value);
   }
   return proto_;

@@ -39,12 +39,12 @@ class Des56TlmCa : public tlm::TargetIf {
   // Fixed indices of the hot observables in the snapshot key table.
   enum : size_t { kDs, kIndata, kKey, kDecrypt, kOut, kRdy, kRdyNc, kRdyNnc };
 
-  const tlm::Snapshot& prototype();
+  const support::Snapshot& prototype();
 
   Des56Cycle core_;
   std::vector<std::pair<std::string, uint64_t>> statics_;
-  std::shared_ptr<const tlm::Snapshot::Keys> keys_;
-  tlm::Snapshot proto_;
+  std::shared_ptr<const support::Snapshot::Keys> keys_;
+  support::Snapshot proto_;
 };
 
 }  // namespace repro::models

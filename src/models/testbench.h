@@ -196,10 +196,12 @@ struct RunResult {
   // PRN003 cross-check errors under AnalysisMode::kError) are merged into
   // analysis_diagnostics.
   analysis::PrunePlan prune_plan;
-  // Trace-log ingest failure (unreadable/corrupt replay input, meta that
-  // contradicts the run configuration, or a record-log write error). When
-  // non-empty the other result fields are meaningless; CLIs report it and
-  // exit with the usage/configuration status.
+  // Configuration or trace-log ingest failure: a checked property reading
+  // a signal this level does not observe (refused before simulating),
+  // unreadable/corrupt replay input, meta that contradicts the run
+  // configuration, or a record-log write error. When non-empty the other
+  // result fields are meaningless; CLIs report it and exit with the
+  // usage/configuration status.
   std::string ingest_error;
 };
 

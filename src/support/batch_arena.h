@@ -18,8 +18,8 @@
 //   - The recycle path (last release) and segment reuse synchronize through
 //     the arena mutex, so a refilled segment never races a stale reader.
 //   - Span contents are immutable and valid until the LAST release; anyone
-//     keeping data beyond that point (e.g. failure witnesses) must deep-copy
-//     before releasing.
+//     keeping data beyond that point (e.g. failure witnesses) must copy it
+//     out of the slab before releasing.
 //   - stats() requires quiescence (no concurrent append/release), e.g.
 //     after the consumers joined.
 #ifndef REPRO_SUPPORT_BATCH_ARENA_H_

@@ -121,7 +121,7 @@ void serialize_record(std::vector<uint8_t>& out,
 }
 
 bool deserialize_record(
-    Cursor& cur, const std::shared_ptr<const tlm::Snapshot::Keys>& keys,
+    Cursor& cur, const std::shared_ptr<const support::Snapshot::Keys>& keys,
     tlm::TransactionRecord& record) {
   uint8_t command = 0;
   uint8_t response = 0;
@@ -144,14 +144,14 @@ bool deserialize_record(
     if (!cur.u64(record.data[i])) return false;
   }
   if ((flags & kFlagHasObservables) != 0) {
-    record.observables = tlm::Snapshot(keys);
+    record.observables = support::Snapshot(keys);
     for (size_t i = 0; i < keys->size(); ++i) {
       uint64_t value = 0;
       if (!cur.u64(value)) return false;
       record.observables.set_at(i, value);
     }
   } else {
-    record.observables = tlm::Snapshot();
+    record.observables = support::Snapshot();
   }
   return true;
 }
@@ -401,7 +401,7 @@ void TraceWriter::fail(TraceError::Kind kind, const std::string& message) {
 
 bool TraceWriter::adopt_dictionary(const tlm::TransactionRecord& record) {
   if (record.observables.empty()) return true;
-  const tlm::Snapshot::Keys& keys = *record.observables.keys();
+  const support::Snapshot::Keys& keys = *record.observables.keys();
   if (meta_.observables.empty()) {
     // First snapshot-carrying record defines the dictionary, preserving the
     // model's key-table order (witness byte-identity depends on it).
@@ -534,7 +534,7 @@ std::optional<TraceError> TraceReader::open(const std::string& path) {
     // JSONL debug encoding: meta line, then one record object per line.
     size_t pos = 0;
     bool meta_seen = false;
-    auto keys = std::make_shared<tlm::Snapshot::Keys>();
+    auto keys = std::make_shared<support::Snapshot::Keys>();
     while (pos < bytes.size()) {
       size_t nl = bytes.find('\n', pos);
       if (nl == std::string::npos) nl = bytes.size();
@@ -598,7 +598,7 @@ std::optional<TraceError> TraceReader::open(const std::string& path) {
           return make_error(TraceError::Kind::kCorrupt,
                             "malformed jsonl record line");
         }
-        record.observables = tlm::Snapshot(keys);
+        record.observables = support::Snapshot(keys);
         for (const auto& [name, value] : obs->object) {
           const auto it =
               std::find(keys->begin(), keys->end(), name);
@@ -622,7 +622,7 @@ std::optional<TraceError> TraceReader::open(const std::string& path) {
 
   Cursor cur{reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()};
   if (std::optional<TraceError> e = parse_binary_header(cur, meta_)) return e;
-  auto keys = std::make_shared<tlm::Snapshot::Keys>(meta_.observables);
+  auto keys = std::make_shared<support::Snapshot::Keys>(meta_.observables);
 
   bool trailer_seen = false;
   while (!trailer_seen) {

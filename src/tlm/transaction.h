@@ -7,62 +7,13 @@
 #ifndef REPRO_TLM_TRANSACTION_H_
 #define REPRO_TLM_TRANSACTION_H_
 
-#include <cassert>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/kernel.h"
+#include "support/snapshot.h"
 
 namespace repro::tlm {
-
-// A cheap value snapshot of the preserved interface variables: the key set
-// is fixed per model and shared (one allocation per model, not per
-// transaction); a snapshot instance is one flat value vector. Lookup is a
-// linear scan, which beats tree/hash containers for the ~10 observables a
-// model exposes.
-class Snapshot {
- public:
-  using Keys = std::vector<std::string>;
-
-  Snapshot() = default;
-  explicit Snapshot(std::shared_ptr<const Keys> keys)
-      : keys_(std::move(keys)), values_(keys_ ? keys_->size() : 0, 0) {}
-
-  bool empty() const { return keys_ == nullptr; }
-  size_t size() const { return keys_ ? keys_->size() : 0; }
-  const Keys* keys() const { return keys_.get(); }
-
-  void set(std::string_view name, uint64_t value) {
-    const Keys& keys = *keys_;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (keys[i] == name) {
-        values_[i] = value;
-        return;
-      }
-    }
-    assert(false && "observable not in the model's key table");
-  }
-
-  std::optional<uint64_t> get(std::string_view name) const {
-    if (!keys_) return std::nullopt;
-    const Keys& keys = *keys_;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (keys[i] == name) return values_[i];
-    }
-    return std::nullopt;
-  }
-
-  uint64_t at(size_t index) const { return values_[index]; }
-  void set_at(size_t index, uint64_t value) { values_[index] = value; }
-
- private:
-  std::shared_ptr<const Keys> keys_;
-  std::vector<uint64_t> values_;
-};
 
 enum class Command { kRead, kWrite };
 enum class Response { kOk, kAddressError, kGenericError };
@@ -85,7 +36,7 @@ struct Payload {
   // identical snapshot, so the evaluation point is not duplicated.
   bool record = true;
   // Verification extension: preserved interface values at completion time.
-  Snapshot observables;
+  support::Snapshot observables;
 };
 
 // A completed transaction as seen by the verification environment.
@@ -96,7 +47,7 @@ struct TransactionRecord {
   uint64_t address = 0;
   std::vector<uint64_t> data;
   Response response = Response::kOk;
-  Snapshot observables;
+  support::Snapshot observables;
 };
 
 }  // namespace repro::tlm

@@ -23,11 +23,8 @@ ExprPtr parse(const std::string& text) {
 
 // Builds an observation from {name, value} pairs.
 Observation obs(psl::TimeNs time,
-                std::initializer_list<std::pair<const char*, uint64_t>> values) {
-  Observation o;
-  o.time = time;
-  for (const auto& [name, value] : values) o.values.set(name, value);
-  return o;
+                const std::vector<std::pair<std::string, uint64_t>>& values) {
+  return {time, support::Snapshot(values)};
 }
 
 // Steps a fresh instance through the whole trace and finishes it.
@@ -42,16 +39,8 @@ Verdict run_instance(const ExprPtr& formula, const Trace& trace) {
 
 // ---- Atom evaluation -----------------------------------------------------------
 
-TEST(MapContextDeathTest, MissingSignalFailsFastWithItsName) {
-  MapContext ctx;
-  ctx.set("a", 1);
-  EXPECT_DEATH(ctx.value("nosuch"), "signal 'nosuch' not present");
-}
-
 TEST(Atoms, AllComparisonOperators) {
-  MapContext ctx;
-  ctx.set("x", 5);
-  ctx.set("y", 5);
+  support::Snapshot ctx({{"x", 5}, {"y", 5}});
   EXPECT_TRUE(eval_boolean(parse("x"), ctx));
   EXPECT_TRUE(eval_boolean(parse("x == 5"), ctx));
   EXPECT_FALSE(eval_boolean(parse("x != 5"), ctx));
@@ -244,9 +233,7 @@ TEST(PropertyChecker, AlwaysSpawnsPerEventAndCountsFailures) {
       {1, 0}, {0, 1}, {1, 0}, {1, 0}, {0, 0}};
   psl::TimeNs time = 10;
   for (const auto& [a, b] : values) {
-    MapContext ctx;
-    ctx.set("a", a);
-    ctx.set("b", b);
+    support::Snapshot ctx({{"a", a}, {"b", b}});
     checker.on_event(time, ctx);
     time += 10;
   }
@@ -265,17 +252,13 @@ TEST(PropertyChecker, TrivialActivationsAreCounted) {
   PropertyChecker checker("t", parse("always (!a || next(b))"), nullptr,
                           kEventCounted);
   for (int i = 0; i < 4; ++i) {
-    MapContext ctx;
-    ctx.set("a", 0);
-    ctx.set("b", 0);
+    support::Snapshot ctx({{"a", 0}, {"b", 0}});
     checker.on_event(10 * (i + 1), ctx);
   }
   checker.finish();
   EXPECT_EQ(checker.stats().trivial, 4u);
   // A real firing is not trivial.
-  MapContext ctx;
-  ctx.set("a", 1);
-  ctx.set("b", 1);
+  support::Snapshot ctx({{"a", 1}, {"b", 1}});
   checker.on_event(100, ctx);
   checker.finish();
   EXPECT_EQ(checker.stats().trivial, 4u);
@@ -285,9 +268,7 @@ TEST(PropertyChecker, TrivialActivationsAreCounted) {
 TEST(PropertyChecker, GuardRestrictsActivation) {
   PropertyChecker checker("t", parse("always a"), parse("en"), kEventCounted);
   for (int i = 0; i < 4; ++i) {
-    MapContext ctx;
-    ctx.set("a", 1);
-    ctx.set("en", i % 2);
+    support::Snapshot ctx({{"a", 1}, {"en", i % 2}});
     checker.on_event(10 * (i + 1), ctx);
   }
   checker.finish();
@@ -298,8 +279,7 @@ TEST(PropertyChecker, NonRepeatingPropertyActivatesOnce) {
   PropertyChecker checker("t", parse("eventually! done"), nullptr,
                           kEventCounted);
   for (int i = 0; i < 3; ++i) {
-    MapContext ctx;
-    ctx.set("done", i == 2);
+    support::Snapshot ctx({{"done", i == 2}});
     checker.on_event(10 * (i + 1), ctx);
   }
   checker.finish();
@@ -369,12 +349,9 @@ Trace random_trace(Rng& rng, size_t max_len) {
   psl::TimeNs time = 10;
   const size_t len = rng.range(1, max_len);
   for (size_t i = 0; i < len; ++i) {
-    Observation o;
-    o.time = time;
-    o.values.set("a", rng.below(3));
-    o.values.set("b", rng.below(3));
-    o.values.set("c", rng.below(3));
-    trace.push_back(std::move(o));
+    trace.push_back({time, support::Snapshot({{"a", rng.below(3)},
+                                              {"b", rng.below(3)},
+                                              {"c", rng.below(3)}})});
     time += 10 * rng.range(1, 3);  // skip 0..2 grid instants
   }
   return trace;

@@ -76,9 +76,10 @@ Trace random_trace(uint64_t seed, size_t length) {
   Rng rng(seed);
   Trace trace;
   psl::TimeNs time = 10;
+  const auto keys = std::make_shared<const support::Snapshot::Keys>(
+      std::begin(kSignals), std::end(kSignals));
   for (size_t i = 0; i < length; ++i) {
-    Observation o;
-    o.time = time;
+    Observation o{time, support::Snapshot(keys)};
     for (const char* sig : kSignals) o.values.set(sig, rng.below(3));
     trace.push_back(std::move(o));
     time += 10 * rng.range(1, 3);

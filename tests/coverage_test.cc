@@ -46,8 +46,7 @@ psl::TlmProperty tlm_prop(const std::string& text) {
 TEST(CoverageAntecedent, BooleanImplicationYieldsItsAntecedent) {
   const ExprPtr ant = derive_antecedent(parse("a -> next[1](b)"));
   ASSERT_NE(ant, nullptr);
-  MapContext values;
-  values.set("a", 1);
+  support::Snapshot values({{"a", 1}});
   EXPECT_TRUE(eval_boolean(ant, values));
   values.set("a", 0);
   EXPECT_FALSE(eval_boolean(ant, values));
@@ -58,8 +57,7 @@ TEST(CoverageAntecedent, GuardedOrYieldsNegatedGuard) {
   // boolean disjunct alone decided it, i.e. when ds is low.
   const ExprPtr ant = derive_antecedent(parse("!ds || next[1](rdy)"));
   ASSERT_NE(ant, nullptr);
-  MapContext values;
-  values.set("ds", 1);
+  support::Snapshot values({{"ds", 1}});
   EXPECT_TRUE(eval_boolean(ant, values));
   values.set("ds", 0);
   EXPECT_FALSE(eval_boolean(ant, values));
@@ -68,9 +66,7 @@ TEST(CoverageAntecedent, GuardedOrYieldsNegatedGuard) {
 TEST(CoverageAntecedent, NestedGuardsConjoin) {
   const ExprPtr ant = derive_antecedent(parse("a -> (!b || next[1](c))"));
   ASSERT_NE(ant, nullptr);
-  MapContext values;
-  values.set("a", 1);
-  values.set("b", 1);
+  support::Snapshot values({{"a", 1}, {"b", 1}});
   EXPECT_TRUE(eval_boolean(ant, values));  // both guards fired
   values.set("b", 0);
   EXPECT_FALSE(eval_boolean(ant, values));
@@ -111,12 +107,8 @@ TEST(CoverageAntecedent, ProgramMirrorsAntecedentNodeSet) {
 void expect_vacuity_split(const CheckerOptions& options) {
   PropertyChecker checker("p", parse("always (a -> next[1](b))"), nullptr,
                           kEventCounted, options);
-  MapContext fired;
-  fired.set("a", 1);
-  fired.set("b", 0);
-  MapContext idle;
-  idle.set("a", 0);
-  idle.set("b", 1);
+  support::Snapshot fired({{"a", 1}, {"b", 0}});
+  support::Snapshot idle({{"a", 0}, {"b", 1}});
   checker.on_event(10, fired);  // activates with antecedent fired
   checker.on_event(20, idle);   // resolves the first instance: b=1, real pass;
                                 // activates a second with a=0: trivial, vacuous
@@ -154,8 +146,7 @@ TEST(CoverageVacuity, SplitOnLockstepBackend) {
 TEST(CoverageVacuity, UnguardedPropertyCountsEveryHoldAsReal) {
   PropertyChecker checker("p", parse("always (next[1](b))"), nullptr,
                           kEventCounted);
-  MapContext values;
-  values.set("b", 1);
+  support::Snapshot values({{"b", 1}});
   checker.on_event(10, values);
   checker.on_event(20, values);
   checker.finish();
@@ -167,11 +158,8 @@ TEST(CoverageVacuity, UnguardedPropertyCountsEveryHoldAsReal) {
 
 // ---- Wrapper: missed deadlines and the split ------------------------------------
 
-MapContext handshake(bool ds, bool rdy) {
-  MapContext values;
-  values.set("ds", ds ? 1 : 0);
-  values.set("rdy", rdy ? 1 : 0);
-  return values;
+support::Snapshot handshake(bool ds, bool rdy) {
+  return support::Snapshot({{"ds", ds ? 1 : 0}, {"rdy", rdy ? 1 : 0}});
 }
 
 TEST(CoverageWrapper, CountsMissedDeadlinesAndVacuousPasses) {
@@ -266,12 +254,13 @@ TEST(CoverageTable, WritesCompactSingleLineJson) {
 
 std::vector<tlm::TransactionRecord> handshake_stream(size_t n) {
   static auto keys =
-      std::make_shared<tlm::Snapshot::Keys>(tlm::Snapshot::Keys{"ds", "rdy"});
+      std::make_shared<support::Snapshot::Keys>(
+          support::Snapshot::Keys{"ds", "rdy"});
   std::vector<tlm::TransactionRecord> records;
   for (size_t i = 0; i < n; ++i) {
     tlm::TransactionRecord r;
     r.end = 10 * (i + 1);
-    r.observables = tlm::Snapshot(keys);
+    r.observables = support::Snapshot(keys);
     r.observables.set("ds", i % 2 == 0 ? 1 : 0);
     r.observables.set("rdy", i % 2 == 0 ? 0 : 1);
     records.push_back(std::move(r));
@@ -349,9 +338,7 @@ TEST(CoverageSampler, FinalCoverageIdenticalAcrossJobs) {
 TEST(CoverageReport, JsonCarriesCoverageSectionAndPrintTheSplitColumns) {
   PropertyChecker checker("p", parse("always (a -> next[1](b))"), nullptr,
                           kEventCounted);
-  MapContext values;
-  values.set("a", 0);
-  values.set("b", 0);
+  support::Snapshot values({{"a", 0}, {"b", 0}});
   checker.on_event(10, values);
   checker.finish();
   abv::Report report;

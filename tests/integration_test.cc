@@ -4,6 +4,8 @@
 // mode spuriously failing at TLM-AT) and bug detection.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "models/properties.h"
 #include "models/testbench.h"
 #include "rewrite/methodology.h"
@@ -130,6 +132,38 @@ TEST(Ablation, NaiveEventCountingFailsSpuriouslyAtTlmAt) {
   EXPECT_TRUE(r.functional_ok);      // the model is correct...
   EXPECT_FALSE(r.properties_ok);     // ...yet the naive checker fails
   EXPECT_GT(r.report.total_failures(), 0u);
+}
+
+// The full suites name cycle-lookahead observables that TLM-AT records do
+// not carry; checking them unabstracted there is refused before simulating
+// (with the property, the signal and the level), whatever the analysis mode.
+TEST(Ablation, UnabstractedFullSuiteAtTlmAtIsRefusedBeforeSimulating) {
+  struct Case {
+    Design design;
+    const char* property;
+    const char* signal;
+  };
+  for (const Case& c : {Case{Design::kDes56, "p3", "rdy_next_cycle"},
+                        Case{Design::kColorConv, "c6", "rdy_next_cycle"}}) {
+    for (AnalysisMode mode :
+         {AnalysisMode::kOff, AnalysisMode::kOn}) {
+      RunConfig config;
+      config.design = c.design;
+      config.level = Level::kTlmAt;
+      config.workload = 20;
+      config.checkers = 99;  // the whole suite
+      config.abstraction.at_replay_unabstracted = true;
+      config.analysis = mode;
+      const RunResult r = run_simulation(config);
+      EXPECT_NE(r.ingest_error.find(std::string("property ") + c.property),
+                std::string::npos)
+          << r.ingest_error;
+      EXPECT_NE(r.ingest_error.find(c.signal), std::string::npos);
+      EXPECT_NE(r.ingest_error.find("TLM-AT"), std::string::npos);
+      EXPECT_EQ(r.ops_completed, 0u);  // nothing was simulated
+      EXPECT_TRUE(r.report.properties().empty());
+    }
+  }
 }
 
 TEST(Ablation, PaperPushModeFailsOnUntilUnderNextAtTlmAt) {

@@ -257,12 +257,9 @@ Trace random_trace(Rng& rng, size_t max_len) {
   psl::TimeNs time = 10;
   const size_t len = rng.range(1, max_len);
   for (size_t i = 0; i < len; ++i) {
-    Observation o;
-    o.time = time;
-    o.values.set("a", rng.below(3));
-    o.values.set("b", rng.below(3));
-    o.values.set("c", rng.below(3));
-    trace.push_back(std::move(o));
+    trace.push_back({time, support::Snapshot({{"a", rng.below(3)},
+                                              {"b", rng.below(3)},
+                                              {"c", rng.below(3)}})});
     time += 10 * rng.range(1, 3);
   }
   return trace;
@@ -515,12 +512,13 @@ TEST(IrBackendParitySuites, SuitePropertiesAgreeOnRandomTraces) {
         Trace trace;
         psl::TimeNs time = 10;
         const size_t len = rng.range(4, 20);
+        const std::set<std::string> signals =
+            psl::referenced_signals(prop.formula);
+        const auto keys = std::make_shared<const support::Snapshot::Keys>(
+            signals.begin(), signals.end());
         for (size_t i = 0; i < len; ++i) {
-          Observation o;
-          o.time = time;
-          for (const auto& name : psl::referenced_signals(prop.formula)) {
-            o.values.set(name, rng.below(4));
-          }
+          Observation o{time, support::Snapshot(keys)};
+          for (const auto& name : signals) o.values.set(name, rng.below(4));
           trace.push_back(std::move(o));
           time += 10;
         }

@@ -131,11 +131,8 @@ psl::TlmProperty tlm_prop(const std::string& text) {
   return result.value();
 }
 
-checker::MapContext des_values(bool ds, bool rdy) {
-  checker::MapContext values;
-  values.set("ds", ds ? 1 : 0);
-  values.set("rdy", rdy ? 1 : 0);
-  return values;
+support::Snapshot des_values(bool ds, bool rdy) {
+  return support::Snapshot({{"ds", ds ? 1 : 0}, {"rdy", rdy ? 1 : 0}});
 }
 
 TEST(Witness, RingWrapsAroundAndSnapshotsOldestFirst) {
@@ -157,9 +154,36 @@ TEST(Witness, RingWrapsAroundAndSnapshotsOldestFirst) {
   EXPECT_LT(failure.witness[0].time, failure.witness[1].time);
   EXPECT_LT(failure.witness[1].time, failure.witness[2].time);
   EXPECT_EQ(failure.witness.back().time, failure.time);
-  ASSERT_NE(failure.witness[0].observables, nullptr);
-  // MapContext materializes every observable into the snapshot.
-  EXPECT_EQ(failure.witness[0].observables->size(), 2u);
+  // Each entry keeps every observable of its event.
+  EXPECT_EQ(failure.witness[0].values.size(), 2u);
+}
+
+TEST(Witness, ReusedBufferRowsKeepTheirOwnValuesAndSharedKeys) {
+  // The RTL environment samples every edge into one reused row; the ring
+  // must copy each event's values out of it, not alias the buffer, and
+  // keep pointing at the buffer's key table instead of copying names.
+  const psl::TlmProperty p =
+      tlm_prop("w: always (!ds || next_e[1,40](rdy)) @Tb");
+  checker::PropertyChecker wrapper(p.name, p.formula, p.context.guard, 10);
+  wrapper.set_witness_depth(4);
+  support::Snapshot buffer(std::make_shared<const support::Snapshot::Keys>(
+      support::Snapshot::Keys{"ds", "rdy", "seq"}));
+  for (uint64_t i = 0; i < 12 && wrapper.failures().empty(); ++i) {
+    buffer.set("ds", i == 6 ? 1 : 0);  // rdy never follows: fails at t=110
+    buffer.set("seq", i);
+    wrapper.on_event(10 * (i + 1), buffer);
+  }
+  wrapper.finish();
+  ASSERT_FALSE(wrapper.failures().empty());
+  const checker::Failure& failure = wrapper.failures().front();
+  ASSERT_EQ(failure.witness.size(), 4u);  // the ring wrapped
+  for (const checker::Observation& row : failure.witness) {
+    EXPECT_EQ(row.values.keys(), buffer.keys());
+    // seq i was sampled at t = 10 (i + 1).
+    EXPECT_EQ(row.values.value("seq"), row.time / 10 - 1);
+    EXPECT_EQ(row.values.value("ds"), row.time == 70 ? 1u : 0u);
+  }
+  EXPECT_EQ(failure.witness.back().time, failure.time);
 }
 
 TEST(Witness, DepthZeroDisablesCapture) {
@@ -237,10 +261,11 @@ TEST(TraceSink, WritesParseableChromeTraceJson) {
 
 tlm::TransactionRecord obs_record(sim::Time end, uint64_t ds, uint64_t rdy) {
   static auto keys =
-      std::make_shared<tlm::Snapshot::Keys>(tlm::Snapshot::Keys{"ds", "rdy"});
+      std::make_shared<support::Snapshot::Keys>(
+          support::Snapshot::Keys{"ds", "rdy"});
   tlm::TransactionRecord record;
   record.end = end;
-  record.observables = tlm::Snapshot(keys);
+  record.observables = support::Snapshot(keys);
   record.observables.set("ds", ds);
   record.observables.set("rdy", rdy);
   return record;
@@ -435,8 +460,7 @@ TEST(Report, DiffReportsPropertiesMissingFromOneSide) {
   const psl::RtlProperty p = rtl_prop("only_a: always (rdy) @clk_pos");
   checker::PropertyChecker checker(p.name, p.formula, p.context.guard,
                                    checker::kEventCounted);
-  checker::MapContext values;
-  values.set("rdy", 1);
+  support::Snapshot values({{"rdy", 1}});
   checker.on_event(10, values);
   checker.finish();
   abv::Report with;

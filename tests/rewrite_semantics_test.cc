@@ -75,12 +75,9 @@ Trace random_trace(Rng& rng, size_t length, bool grid) {
   Trace trace;
   psl::TimeNs time = 10;
   for (size_t i = 0; i < length; ++i) {
-    Observation o;
-    o.time = time;
-    o.values.set("a", rng.below(3));
-    o.values.set("b", rng.below(3));
-    o.values.set("c", rng.below(3));
-    trace.push_back(std::move(o));
+    trace.push_back({time, support::Snapshot({{"a", rng.below(3)},
+                                              {"b", rng.below(3)},
+                                              {"c", rng.below(3)}})});
     time += grid ? 10 : 10 * rng.range(1, 3);
   }
   return trace;

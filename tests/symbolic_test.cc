@@ -87,11 +87,12 @@ psl::ExprPtr random_event_formula(Rng& rng, int depth,
 checker::Trace trace_from_mask(const std::vector<std::string>& sigs,
                                size_t len, uint64_t mask) {
   checker::Trace trace;
+  const auto keys = std::make_shared<const support::Snapshot::Keys>(sigs);
   for (size_t s = 0; s < len; ++s) {
-    checker::Observation o;
-    o.time = static_cast<psl::TimeNs>((s + 1) * 10);
+    checker::Observation o{static_cast<psl::TimeNs>((s + 1) * 10),
+                           support::Snapshot(keys)};
     for (size_t k = 0; k < sigs.size(); ++k) {
-      o.values.set(sigs[k], (mask >> (s * sigs.size() + k)) & 1u);
+      o.values.set_at(k, (mask >> (s * sigs.size() + k)) & 1u);
     }
     trace.push_back(std::move(o));
   }

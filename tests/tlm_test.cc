@@ -10,43 +10,6 @@
 namespace repro::tlm {
 namespace {
 
-// ---- Snapshot -----------------------------------------------------------------
-
-TEST(Snapshot, SetAndGetByName) {
-  auto keys = std::make_shared<Snapshot::Keys>(Snapshot::Keys{"a", "b", "c"});
-  Snapshot s(keys);
-  s.set("b", 7);
-  EXPECT_EQ(s.get("b"), std::optional<uint64_t>(7));
-  EXPECT_EQ(s.get("a"), std::optional<uint64_t>(0));
-  EXPECT_FALSE(s.get("missing").has_value());
-}
-
-TEST(Snapshot, EmptySnapshotHasNoKeys) {
-  Snapshot s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.size(), 0u);
-  EXPECT_FALSE(s.get("x").has_value());
-}
-
-TEST(Snapshot, CopySharesKeysButNotValues) {
-  auto keys = std::make_shared<Snapshot::Keys>(Snapshot::Keys{"a"});
-  Snapshot first(keys);
-  first.set("a", 1);
-  Snapshot second = first;
-  second.set("a", 2);
-  EXPECT_EQ(first.get("a"), std::optional<uint64_t>(1));
-  EXPECT_EQ(second.get("a"), std::optional<uint64_t>(2));
-  EXPECT_EQ(first.keys(), second.keys());
-}
-
-TEST(Snapshot, IndexAccess) {
-  auto keys = std::make_shared<Snapshot::Keys>(Snapshot::Keys{"x", "y"});
-  Snapshot s(keys);
-  s.set_at(1, 42);
-  EXPECT_EQ(s.at(1), 42u);
-  EXPECT_EQ(s.get("y"), std::optional<uint64_t>(42));
-}
-
 // ---- Recorder -------------------------------------------------------------------
 
 TEST(Recorder, DeliversAtCompletionTimeInOrder) {

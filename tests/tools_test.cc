@@ -54,6 +54,12 @@ TEST(TraceIo, RejectsMalformedValues) {
   EXPECT_FALSE(checker::parse_trace_csv("time,a\n10,0xZZ\n").ok());
 }
 
+TEST(TraceIo, RejectsDuplicateColumns) {
+  // Every row shares the header as its key table, so a repeated name would
+  // leave its second column unreadable.
+  EXPECT_FALSE(checker::parse_trace_csv("time,a,b,a\n10,1,2,3\n").ok());
+}
+
 TEST(TraceIo, RoundTrips) {
   const char* text =
       "time,a,b\n"

@@ -43,9 +43,9 @@ void spit(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::shared_ptr<const tlm::Snapshot::Keys> test_keys() {
-  return std::make_shared<const tlm::Snapshot::Keys>(
-      tlm::Snapshot::Keys{"ds", "rdy", "out"});
+std::shared_ptr<const support::Snapshot::Keys> test_keys() {
+  return std::make_shared<const support::Snapshot::Keys>(
+      support::Snapshot::Keys{"ds", "rdy", "out"});
 }
 
 tlm::RecordStreamMeta test_meta() {
@@ -67,7 +67,7 @@ std::vector<tlm::TransactionRecord> test_records(size_t n) {
     r.response = tlm::Response::kOk;
     r.address = 0x100 + i;
     r.data = {i, ~i};
-    r.observables = tlm::Snapshot(keys);
+    r.observables = support::Snapshot(keys);
     r.observables.set_at(0, i % 2);
     r.observables.set_at(1, i % 3);
     r.observables.set_at(2, 0xdead0000 + i);
@@ -178,8 +178,9 @@ TEST(TracelogFormat, WriterRejectsInconsistentKeyTable) {
   std::vector<tlm::TransactionRecord> records = test_records(1);
   writer.append(records[0]);
   tlm::TransactionRecord odd;
-  odd.observables = tlm::Snapshot(std::make_shared<const tlm::Snapshot::Keys>(
-      tlm::Snapshot::Keys{"other"}));
+  odd.observables = support::Snapshot(
+      std::make_shared<const support::Snapshot::Keys>(
+          support::Snapshot::Keys{"other"}));
   writer.append(odd);
   EXPECT_FALSE(writer.finish());
   EXPECT_NE(writer.error().find("key table"), std::string::npos);

@@ -22,10 +22,8 @@ PropertyChecker abstracted(const std::string& text) {
 }
 
 void transaction(PropertyChecker& wrapper, psl::TimeNs time,
-                 std::initializer_list<std::pair<const char*, uint64_t>> values) {
-  MapContext ctx;
-  for (const auto& [name, value] : values) ctx.set(name, value);
-  wrapper.on_event(time, ctx);
+                 const std::vector<std::pair<std::string, uint64_t>>& values) {
+  wrapper.on_event(time, support::Snapshot(values));
 }
 
 // ---- Sec. IV point 1: allocation / lifetime ------------------------------------------
