@@ -62,7 +62,8 @@ ProgramBatch::ProgramBatch(std::shared_ptr<const Program> program)
 }
 
 BatchState::BatchState(std::shared_ptr<const ProgramBatch> layout)
-    : layout_(std::move(layout)), prog_(&layout_->program()) {
+    : layout_(std::move(layout)), prog_(&layout_->program()),
+      root_(prog_->root()) {
   const size_t n = prog_->size();
   val_t_.resize(n, 0);
   val_f_.resize(n, 0);
@@ -90,21 +91,28 @@ void BatchState::release_lane(uint32_t lane) {
 
 void BatchState::reset_lane(uint32_t lane) {
   assert(lane < kLanes);
-  const uint64_t keep = ~(uint64_t{1} << lane);
-  for (size_t n = 0; n < val_t_.size(); ++n) {
-    val_t_[n] &= keep;
-    val_f_[n] &= keep;
-    armed_[n] &= keep;
-    observed_[n] &= keep;
-  }
+  const uint64_t bit = uint64_t{1} << lane;
   for (size_t w = 0; w < layout_->count_words(); ++w) {
     counts_[w * kLanes + lane] = 0;
   }
   for (size_t w = 0; w < layout_->target_words(); ++w) {
     targets_[w * kLanes + lane] = 0;
   }
-  primed_ &= keep;
-  exercised_ &= keep;
+  stale_ |= bit;
+  primed_ &= ~bit;
+  exercised_ &= ~bit;
+}
+
+void BatchState::clear_stale() {
+  if (stale_ == 0) return;
+  const uint64_t keep = ~stale_;
+  for (size_t n = 0; n < val_t_.size(); ++n) {
+    val_t_[n] &= keep;
+    val_f_[n] &= keep;
+    armed_[n] &= keep;
+    observed_[n] &= keep;
+  }
+  stale_ = 0;
 }
 
 bool BatchState::atom_value(uint32_t k) {
@@ -272,29 +280,12 @@ void BatchState::step_node(uint32_t n, uint64_t need) {
 void BatchState::prime(const Event& ev, uint64_t mask) {
   assert((mask & ~allocated_) == 0);
   if (mask == 0) return;
+  clear_stale();
   ++stamp_;
   ev_ = &ev;
-  step_node(prog_->root(), mask);
+  step_node(root_, mask);
   ev_ = nullptr;
   primed_ |= mask;
-}
-
-Verdict BatchState::step_lane(const Event& ev, uint32_t lane) {
-  assert(lane < kLanes);
-  const uint64_t bit = uint64_t{1} << lane;
-  if (!(primed_ & bit)) prime(ev, bit);
-  // Consume the primed bit: a second step at the same event (a re-dued
-  // eps == 0 entry) must re-advance the lane exactly like the scalar path.
-  primed_ &= ~bit;
-  return root_verdict(lane);
-}
-
-Verdict BatchState::root_verdict(uint32_t lane) const {
-  const uint64_t bit = uint64_t{1} << lane;
-  const uint32_t root = prog_->root();
-  if (val_t_[root] & bit) return Verdict::kTrue;
-  if (val_f_[root] & bit) return Verdict::kFalse;
-  return Verdict::kPending;
 }
 
 // End-of-trace resolution mirrors Evaluator::finish/finish_raw: no pure_bool
@@ -344,12 +335,13 @@ uint8_t BatchState::finish_raw(uint32_t n, uint64_t bit) {
 
 Verdict BatchState::finish_lane(uint32_t lane) {
   assert(lane < kLanes);
-  return decode(finish_node(prog_->root(), uint64_t{1} << lane));
+  clear_stale();
+  return decode(finish_node(root_, uint64_t{1} << lane));
 }
 
 bool BatchState::collect_node(uint32_t n, uint32_t lane,
                               std::vector<psl::TimeNs>& out) const {
-  const uint64_t bit = uint64_t{1} << lane;
+  const uint64_t bit = (uint64_t{1} << lane) & ~stale_;
   if ((val_t_[n] | val_f_[n]) & bit) return true;
   const Program::ProgNode& node = prog_->nodes()[n];
   switch (node.op) {
@@ -384,9 +376,10 @@ bool BatchState::collect_node(uint32_t n, uint32_t lane,
 bool BatchState::collect_deadlines(uint32_t lane,
                                    std::vector<psl::TimeNs>& out) const {
   assert(lane < kLanes);
-  const uint32_t root = prog_->root();
-  if ((val_t_[root] | val_f_[root]) & (uint64_t{1} << lane)) return true;
-  return collect_node(root, lane, out);
+  if ((val_t_[root_] | val_f_[root_]) & (uint64_t{1} << lane) & ~stale_) {
+    return true;
+  }
+  return collect_node(root_, lane, out);
 }
 
 }  // namespace repro::checker

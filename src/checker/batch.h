@@ -33,6 +33,7 @@
 #ifndef REPRO_CHECKER_BATCH_H_
 #define REPRO_CHECKER_BATCH_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -102,7 +103,15 @@ class BatchState {
   void prime(const Event& ev, uint64_t mask);
   // Verdict of `lane` after consuming `ev`: uses the primed result when the
   // lane was primed for this event, else primes the single lane first.
-  Verdict step_lane(const Event& ev, uint32_t lane);
+  Verdict step_lane(const Event& ev, uint32_t lane) {
+    assert(lane < kLanes);
+    const uint64_t bit = uint64_t{1} << lane;
+    if (!(primed_ & bit)) prime(ev, bit);
+    // Consume the primed bit: a second step at the same event (a re-dued
+    // eps == 0 entry) must re-advance the lane exactly like the scalar path.
+    primed_ &= ~bit;
+    return root_verdict(lane);
+  }
   // End-of-trace resolution for one lane (truncated semantics).
   Verdict finish_lane(uint32_t lane);
   // Mirrors ProgramState::collect_deadlines for one lane.
@@ -110,7 +119,12 @@ class BatchState {
   // Restores the lane's fresh (pre-anchor) state; the lane stays allocated.
   void reset_lane(uint32_t lane);
 
-  Verdict root_verdict(uint32_t lane) const;
+  Verdict root_verdict(uint32_t lane) const {
+    const uint64_t bit = (uint64_t{1} << lane) & ~stale_;
+    if (val_t_[root_] & bit) return Verdict::kTrue;
+    if (val_f_[root_] & bit) return Verdict::kFalse;
+    return Verdict::kPending;
+  }
   uint64_t primed() const { return primed_; }
   const ProgramBatch& layout() const { return *layout_; }
 
@@ -126,6 +140,7 @@ class BatchState {
   bool exercised(uint32_t lane) const { return (exercised_ >> lane) & 1; }
 
  private:
+  void clear_stale();
   bool eval_bool(uint32_t n);
   bool atom_value(uint32_t k);
   void step_node(uint32_t n, uint64_t need);
@@ -136,6 +151,7 @@ class BatchState {
 
   std::shared_ptr<const ProgramBatch> layout_;
   const Program* prog_;  // borrowed from layout_, hot-path shortcut
+  uint32_t root_;        // prog_->root()
 
   // One 64-bit plane per program node (lane i = bit i).
   std::vector<uint64_t> val_t_;
@@ -152,6 +168,10 @@ class BatchState {
   uint64_t stamp_ = 0;
 
   uint64_t allocated_ = 0;  // lanes handed out
+  // Lanes reset since the last clear_stale(): their plane bits still hold
+  // the old instance and read as zero until the next prime or finish clears
+  // them, so the many lanes one event recycles cost one sweep of the planes.
+  uint64_t stale_ = 0;
   uint64_t primed_ = 0;     // lanes whose planes already reflect the event
   uint64_t exercised_ = 0;  // lanes whose antecedent fired at their anchor
   const Event* ev_ = nullptr;  // valid during prime() only
