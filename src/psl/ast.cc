@@ -207,6 +207,18 @@ std::set<std::string> referenced_signals(const ExprPtr& e) {
   return out;
 }
 
+std::vector<std::string> unbound_signals(
+    const ExprPtr& e, const std::vector<std::string>& available) {
+  std::vector<std::string> out;
+  for (const std::string& signal : referenced_signals(e)) {
+    if (std::find(available.begin(), available.end(), signal) ==
+        available.end()) {
+      out.push_back(signal);
+    }
+  }
+  return out;
+}
+
 size_t node_count(const ExprPtr& e) {
   if (!e) return 0;
   return 1 + node_count(e->lhs) + node_count(e->rhs);

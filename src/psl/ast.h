@@ -112,6 +112,11 @@ bool is_literal(const ExprPtr& e);
 // Collects the names of all design signals referenced by `e`.
 std::set<std::string> referenced_signals(const ExprPtr& e);
 
+// The signals `e` references that `available` does not list, in name
+// order; empty for a null expression.
+std::vector<std::string> unbound_signals(
+    const ExprPtr& e, const std::vector<std::string>& available);
+
 // Number of nodes, for diagnostics and benchmarks.
 size_t node_count(const ExprPtr& e);
 
