@@ -1,24 +1,28 @@
 #include "abv/rtl_env.h"
 
+#include <algorithm>
+
 #include "support/tracelog.h"
 
 namespace repro::abv {
 
+SignalBag::Entry& SignalBag::entry(const std::string& name) {
+  keys_cache_.reset();
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), name,
+      [](const Entry& e, const std::string& n) { return e.name < n; });
+  if (it != entries_.end() && it->name == name) return *it;
+  return *entries_.insert(it, Entry{name, nullptr, nullptr});
+}
+
 std::shared_ptr<const support::Snapshot::Keys> SignalBag::keys() const {
   if (keys_cache_ == nullptr) {
     auto keys = std::make_shared<support::Snapshot::Keys>();
-    keys->reserve(getters_.size());
-    for (const auto& [name, getter] : getters_) keys->push_back(name);
+    keys->reserve(entries_.size());
+    for (const Entry& e : entries_) keys->push_back(e.name);
     keys_cache_ = std::move(keys);
   }
   return keys_cache_;
-}
-
-void SignalBag::sample_into(support::Snapshot& snapshot) const {
-  // The snapshot was built over keys() (map order), so index i is the i-th
-  // getter: one pass, no name lookups.
-  size_t i = 0;
-  for (const auto& [name, getter] : getters_) snapshot.set_at(i++, getter());
 }
 
 void RtlAbvEnv::add_property(const psl::RtlProperty& property) {

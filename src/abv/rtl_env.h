@@ -15,8 +15,6 @@
 #ifndef REPRO_ABV_RTL_ENV_H_
 #define REPRO_ABV_RTL_ENV_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,33 +33,45 @@ class TraceWriter;
 
 namespace repro::abv {
 
-// Named read accessors into the design under verification. RTL models
-// register their observable signals here; the environment samples them into
+// Named read access to the design under verification. RTL models register
+// their observable signals here; the environment samples them into
 // per-event snapshots.
 class SignalBag {
  public:
-  void add(const std::string& name, std::function<uint64_t()> getter) {
-    getters_[name] = std::move(getter);
-    keys_cache_.reset();
-  }
+  // Registers (or re-points) `name`; the signal must outlive the bag.
   void add(const std::string& name, const sim::Signal<uint64_t>& signal) {
-    add(name, [&signal] { return signal.read(); });
+    entry(name) = {name, &signal, nullptr};
   }
   void add(const std::string& name, const sim::Signal<bool>& signal) {
-    add(name, [&signal] { return signal.read() ? uint64_t{1} : uint64_t{0}; });
+    entry(name) = {name, nullptr, &signal};
   }
 
-  // Shared key table over the registered names (map order, so the index
+  // Shared key table over the registered names (name order, so the index
   // layout is deterministic); built lazily, invalidated by add(). Feed it
   // to support::Snapshot so all snapshots of this bag share one allocation.
   std::shared_ptr<const support::Snapshot::Keys> keys() const;
 
-  // Reads every getter once into `snapshot`, which must have been built
+  // Reads every signal once into `snapshot`, which must have been built
   // over this bag's keys().
-  void sample_into(support::Snapshot& snapshot) const;
+  void sample_into(support::Snapshot& snapshot) const {
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      const Entry& e = entries_[i];
+      snapshot.set_at(i, e.word != nullptr ? e.word->read()
+                                           : uint64_t{e.bit->read()});
+    }
+  }
 
  private:
-  std::map<std::string, std::function<uint64_t()>> getters_;
+  // Exactly one of `word` / `bit` is set.
+  struct Entry {
+    std::string name;
+    const sim::Signal<uint64_t>* word;
+    const sim::Signal<bool>* bit;
+  };
+  // The entry for `name`, inserted in name order when new.
+  Entry& entry(const std::string& name);
+
+  std::vector<Entry> entries_;  // sorted by name
   mutable std::shared_ptr<const support::Snapshot::Keys> keys_cache_;
 };
 

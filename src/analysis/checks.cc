@@ -518,8 +518,8 @@ void check_sizing(CheckContext& ctx) {
   if (!life.bounded) {
     emit(ctx, "SIZ002", Severity::kNote, "checker-sizing",
          "wrapper lifetime is unbounded (until/release/eventually "
-         "obligations); the instance pool grows on demand, capped at the "
-         "active high-water mark");
+         "obligations); the instance pool grows on demand and never exceeds "
+         "the number of instances live at once");
   } else if (life.max_eps > 0) {
     std::string window_list;
     for (const psl::TimeNs eps : windows) {

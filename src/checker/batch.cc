@@ -100,7 +100,6 @@ void BatchState::reset_lane(uint32_t lane) {
   }
   stale_ |= bit;
   primed_ &= ~bit;
-  exercised_ &= ~bit;
 }
 
 void BatchState::clear_stale() {

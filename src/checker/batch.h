@@ -128,17 +128,6 @@ class BatchState {
   uint64_t primed() const { return primed_; }
   const ProgramBatch& layout() const { return *layout_; }
 
-  // --- vacuity telemetry ----------------------------------------------------
-  // "Consequent exercised" bit plane, one bit per lane (see
-  // Instance::set_exercised). The owner writes the bit at the lane's anchor
-  // event; reset_lane clears it with the rest of the lane state so recycled
-  // lanes start out not-exercised, exactly like a fresh scalar instance.
-  void set_exercised(uint32_t lane, bool v) {
-    const uint64_t bit = uint64_t{1} << lane;
-    exercised_ = v ? (exercised_ | bit) : (exercised_ & ~bit);
-  }
-  bool exercised(uint32_t lane) const { return (exercised_ >> lane) & 1; }
-
  private:
   void clear_stale();
   bool eval_bool(uint32_t n);
@@ -173,7 +162,6 @@ class BatchState {
   // them, so the many lanes one event recycles cost one sweep of the planes.
   uint64_t stale_ = 0;
   uint64_t primed_ = 0;     // lanes whose planes already reflect the event
-  uint64_t exercised_ = 0;  // lanes whose antecedent fired at their anchor
   const Event* ev_ = nullptr;  // valid during prime() only
 };
 

@@ -91,19 +91,10 @@ class Instance {
   // "Consequent exercised" bit for vacuity telemetry: the owner evaluates
   // the property's derived antecedent at the anchor event and records the
   // outcome here; retirement counts a kTrue verdict as a real pass when the
-  // bit is set and a vacuous pass otherwise. Lane-backed instances keep the
-  // bit in the block's per-lane plane so lane recycling clears it with the
-  // rest of the lane state.
-  void set_exercised(bool v) {
-    if (block_ != nullptr) {
-      block_->set_exercised(lane_, v);
-    } else {
-      exercised_ = v;
-    }
-  }
-  bool exercised() const {
-    return block_ != nullptr ? block_->exercised(lane_) : exercised_;
-  }
+  // bit is set and a vacuous pass otherwise. One bit per instance on every
+  // backend, cleared by reset().
+  void set_exercised(bool v) { exercised_ = v; }
+  bool exercised() const { return exercised_; }
 
   // True when this instance runs on a compiled backend (flat program state
   // or a lockstep lane).
@@ -123,7 +114,7 @@ class Instance {
   uint32_t lane_ = 0;                    // lane within block_
   Verdict verdict_ = Verdict::kPending;
   psl::TimeNs activated_at_ = 0;
-  bool exercised_ = false;  // scalar backends; lane-backed bit lives in block_
+  bool exercised_ = false;
 };
 
 }  // namespace repro::checker

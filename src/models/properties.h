@@ -35,9 +35,9 @@ PropertySuite colorconv_suite();
 // soundness ablation benchmark.
 psl::RtlProperty des56_p2_paper();
 
-// Raw property text (parser input), exposed for the pslabs example.
+// Raw DES56 property text (parser input), exposed for the rewrite
+// benchmark; tests/data/des56.psl is a copy for offline checking.
 extern const char kDes56PropertyText[];
-extern const char kColorConvPropertyText[];
 
 }  // namespace repro::models
 

@@ -1,7 +1,5 @@
 #include "sim/trace.h"
 
-#include <ostream>
-
 namespace repro::sim {
 
 void ChangeLog::watch(Signal<uint64_t>& signal) {
@@ -36,12 +34,6 @@ std::vector<Change> ChangeLog::for_signal(const std::string& name) const {
     if (change.name == name) out.push_back(change);
   }
   return out;
-}
-
-void ChangeLog::dump(std::ostream& os) const {
-  for (const auto& change : changes_) {
-    os << change.time << " ns  " << change.name << " = " << change.value << "\n";
-  }
 }
 
 }  // namespace repro::sim

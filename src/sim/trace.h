@@ -4,7 +4,6 @@
 #define REPRO_SIM_TRACE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -41,9 +40,6 @@ class ChangeLog {
 
   // Changes restricted to a single signal name, in time order.
   std::vector<Change> for_signal(const std::string& name) const;
-
-  // Writes a VCD-like textual dump, one change per line.
-  void dump(std::ostream& os) const;
 
  private:
   Kernel& kernel_;

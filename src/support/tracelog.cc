@@ -244,6 +244,11 @@ std::optional<TraceError> parse_binary_header(Cursor& cur,
   return std::nullopt;
 }
 
+// JSONL u64 fields (times, period, codes, data words, observables) must be
+// plain unsigned integer tokens: the parser's exact value is then known, and
+// a negative, fractional or huge number never reaches a lossy cast.
+bool is_u64(const json::Value* v) { return v != nullptr && v->u64.has_value(); }
+
 std::optional<TraceError> parse_jsonl_meta(const std::string& line,
                                            tlm::RecordStreamMeta& meta) {
   std::string error;
@@ -269,13 +274,13 @@ std::optional<TraceError> parse_jsonl_meta(const std::string& line,
                           std::to_string(kSchemaVersion));
   }
   if (design == nullptr || !design->is_string() || level == nullptr ||
-      !level->is_string() || period == nullptr || !period->is_number() ||
+      !level->is_string() || !is_u64(period) ||
       observables == nullptr || !observables->is_array()) {
     return make_error(TraceError::Kind::kCorrupt, "malformed jsonl meta line");
   }
   meta.design = design->string;
   meta.level = level->string;
-  meta.clock_period_ns = static_cast<uint64_t>(period->number);
+  meta.clock_period_ns = *period->u64;
   meta.observables.clear();
   for (const json::Value& name : observables->array) {
     if (!name.is_string()) {
@@ -283,6 +288,29 @@ std::optional<TraceError> parse_jsonl_meta(const std::string& line,
                         "malformed jsonl meta line");
     }
     meta.observables.push_back(name.string);
+  }
+  return std::nullopt;
+}
+
+// Stream-level checks every decoded record passes, whatever the encoding:
+// a log with a dictionary carries a full row on every record (checkers read
+// every row by column), and end times never decrease (the recorder delivers
+// in kernel time order; checkers assume it). O(1), allocation-free unless
+// the record is rejected.
+std::optional<TraceError> check_record(
+    const std::vector<tlm::TransactionRecord>& previous,
+    const support::Snapshot::Keys& keys, const tlm::TransactionRecord& record) {
+  if (!keys.empty() && record.observables.empty()) {
+    return make_error(TraceError::Kind::kCorrupt,
+                      "record " + std::to_string(previous.size()) +
+                          " has no observable row");
+  }
+  if (!previous.empty() && record.end < previous.back().end) {
+    return make_error(TraceError::Kind::kCorrupt,
+                      "record " + std::to_string(previous.size()) +
+                          " ends at " + std::to_string(record.end) +
+                          ", before the previous record's end " +
+                          std::to_string(previous.back().end));
   }
   return std::nullopt;
 }
@@ -535,6 +563,8 @@ std::optional<TraceError> TraceReader::open(const std::string& path) {
     size_t pos = 0;
     bool meta_seen = false;
     auto keys = std::make_shared<support::Snapshot::Keys>();
+    // seen[i] == records_.size() + 1: column i was given on this line.
+    std::vector<size_t> seen;
     while (pos < bytes.size()) {
       size_t nl = bytes.find('\n', pos);
       if (nl == std::string::npos) nl = bytes.size();
@@ -546,6 +576,7 @@ std::optional<TraceError> TraceReader::open(const std::string& path) {
           return e;
         }
         *keys = meta_.observables;
+        seen.assign(keys->size(), 0);
         meta_seen = true;
         continue;
       }
@@ -561,37 +592,29 @@ std::optional<TraceError> TraceReader::open(const std::string& path) {
       const json::Value* response = doc->find("response");
       const json::Value* address = doc->find("address");
       const json::Value* data = doc->find("data");
-      if (start == nullptr || !start->is_number() || end == nullptr ||
-          !end->is_number() || command == nullptr || !command->is_number() ||
-          response == nullptr || !response->is_number() || address == nullptr ||
-          !address->is_number() || data == nullptr || !data->is_array()) {
+      if (!is_u64(start) || !is_u64(end) || !is_u64(command) ||
+          !is_u64(response) || !is_u64(address) || data == nullptr ||
+          !data->is_array()) {
         return make_error(TraceError::Kind::kCorrupt,
                           "malformed jsonl record line");
       }
-      // u64 fields read the parser's exact unsigned value: the double alone
-      // cannot represent data words and observables above 2^53.
-      const auto exact = [](const json::Value& v) {
-        return v.u64.value_or(static_cast<uint64_t>(v.number));
-      };
       tlm::TransactionRecord record;
-      record.start = exact(*start);
-      record.end = exact(*end);
-      const int cmd = static_cast<int>(command->number);
-      const int rsp = static_cast<int>(response->number);
-      if (cmd < 0 || cmd > static_cast<int>(tlm::Command::kWrite) || rsp < 0 ||
-          rsp > static_cast<int>(tlm::Response::kGenericError)) {
+      record.start = *start->u64;
+      record.end = *end->u64;
+      if (*command->u64 > static_cast<uint64_t>(tlm::Command::kWrite) ||
+          *response->u64 > static_cast<uint64_t>(tlm::Response::kGenericError)) {
         return make_error(TraceError::Kind::kCorrupt,
                           "jsonl record has an unknown command/response");
       }
-      record.command = static_cast<tlm::Command>(cmd);
-      record.response = static_cast<tlm::Response>(rsp);
-      record.address = exact(*address);
+      record.command = static_cast<tlm::Command>(*command->u64);
+      record.response = static_cast<tlm::Response>(*response->u64);
+      record.address = *address->u64;
       for (const json::Value& word : data->array) {
-        if (!word.is_number()) {
+        if (!is_u64(&word)) {
           return make_error(TraceError::Kind::kCorrupt,
                             "malformed jsonl record line");
         }
-        record.data.push_back(exact(word));
+        record.data.push_back(*word.u64);
       }
       if (const json::Value* obs = doc->find("observables")) {
         if (!obs->is_object()) {
@@ -599,17 +622,43 @@ std::optional<TraceError> TraceReader::open(const std::string& path) {
                             "malformed jsonl record line");
         }
         record.observables = support::Snapshot(keys);
+        const size_t stamp = records_.size() + 1;
+        size_t filled = 0;
         for (const auto& [name, value] : obs->object) {
           const auto it =
               std::find(keys->begin(), keys->end(), name);
-          if (it == keys->end() || !value.is_number()) {
+          if (it == keys->end()) {
             return make_error(
                 TraceError::Kind::kCorrupt,
                 "jsonl record observable '" + name + "' not in dictionary");
           }
-          record.observables.set_at(static_cast<size_t>(it - keys->begin()),
-                                    exact(value));
+          if (!is_u64(&value)) {
+            return make_error(TraceError::Kind::kCorrupt,
+                              "jsonl record observable '" + name +
+                                  "' is not an unsigned integer");
+          }
+          const size_t column = static_cast<size_t>(it - keys->begin());
+          if (seen[column] == stamp) {
+            return make_error(
+                TraceError::Kind::kCorrupt,
+                "jsonl record observable '" + name + "' given twice");
+          }
+          seen[column] = stamp;
+          ++filled;
+          record.observables.set_at(column, *value.u64);
         }
+        if (filled != keys->size()) {
+          const size_t column = static_cast<size_t>(
+              std::find_if(seen.begin(), seen.end(),
+                           [stamp](size_t s) { return s != stamp; }) -
+              seen.begin());
+          return make_error(TraceError::Kind::kCorrupt,
+                            "jsonl record " + std::to_string(stamp - 1) +
+                                " lacks observable '" + (*keys)[column] + "'");
+        }
+      }
+      if (std::optional<TraceError> e = check_record(records_, *keys, record)) {
+        return e;
       }
       records_.push_back(std::move(record));
     }
@@ -651,6 +700,10 @@ std::optional<TraceError> TraceReader::open(const std::string& path) {
         if (!deserialize_record(frame, keys, record)) {
           return make_error(TraceError::Kind::kCorrupt,
                             "malformed record in frame");
+        }
+        if (std::optional<TraceError> e =
+                check_record(records_, *keys, record)) {
+          return e;
         }
         records_.push_back(std::move(record));
       }

@@ -120,7 +120,10 @@ class TraceWriter {
 };
 
 // Decodes and fully validates a log in one pass; after a successful open()
-// the meta, the records and the original frame sizes are in memory.
+// the meta, the records and the original frame sizes are in memory. Besides
+// the framing, every record must carry a full observable row when the
+// dictionary is non-empty, and end no earlier than the record before it;
+// a log breaking either is kCorrupt.
 class TraceReader {
  public:
   // Returns the (distinct-kind) rejection reason, or nullopt on success.

@@ -1,6 +1,6 @@
 // Coverage & vacuity telemetry tests: antecedent derivation (psl level and
 // the compiled program's node-set mirror), the real/vacuous pass split on
-// every checker backend, missed-deadline counting, the recycled-lane
+// every checker backend, missed-deadline counting, the recycled-instance
 // exercised bit, the CoverageTable and its JSON, the EvalEngine JSONL
 // snapshot sampler, the schema_version 2 report coverage section, and the
 // static-vs-dynamic cross-check (COV001/COV002).
@@ -190,7 +190,7 @@ TEST(CoverageWrapper, RealPassWhenConsequentExercised) {
   EXPECT_EQ(s.holds, s.real_passes + s.vacuous_passes);
 }
 
-// ---- Recycled lanes / instances forget the exercised bit ------------------------
+// ---- Recycled instances forget the exercised bit ------------------------------
 
 TEST(CoverageExercisedBit, ScalarInstanceResetClearsIt) {
   const auto program = Program::compile(parse("a -> next[1](b)"));
@@ -199,21 +199,6 @@ TEST(CoverageExercisedBit, ScalarInstanceResetClearsIt) {
   EXPECT_TRUE(instance.exercised());
   instance.reset();
   EXPECT_FALSE(instance.exercised());
-}
-
-TEST(CoverageExercisedBit, RecycledLaneStartsNotExercised) {
-  auto block = std::make_shared<BatchState>(
-      std::make_shared<const ProgramBatch>(Program::compile(parse("a"))));
-  const uint32_t lane = block->allocate_lane();
-  block->set_exercised(lane, true);
-  EXPECT_TRUE(block->exercised(lane));
-  block->reset_lane(lane);
-  EXPECT_FALSE(block->exercised(lane));
-  // Neighbouring lanes are untouched by another lane's reset.
-  const uint32_t other = block->allocate_lane();
-  block->set_exercised(other, true);
-  block->reset_lane(lane);
-  EXPECT_TRUE(block->exercised(other));
 }
 
 // ---- CoverageTable --------------------------------------------------------------

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "sim/clock.h"
@@ -182,15 +181,6 @@ TEST(ChangeLog, ExplicitRecordCollapsesRepeats) {
   log.record(10, "x", 1);  // collapsed
   log.record(15, "x", 0);
   EXPECT_EQ(log.for_signal("x").size(), 2u);
-}
-
-TEST(ChangeLog, DumpIsHumanReadable) {
-  Kernel kernel;
-  ChangeLog log(kernel);
-  log.record(5, "x", 1);
-  std::ostringstream os;
-  log.dump(os);
-  EXPECT_EQ(os.str(), "5 ns  x = 1\n");
 }
 
 TEST(Kernel, CountsEventsAndDeltas) {

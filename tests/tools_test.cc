@@ -1,79 +1,20 @@
-// Tests for the tooling layer: CSV trace I/O, the VCD writer, and the JSON
-// report contract of the psl_lint analysis driver.
+// Tests for the tooling layer: the JSON report contract of the psl_lint
+// analysis driver, and the property file tracecheck's recorded-log ctest
+// reads. The CLIs' exit-code contracts and tracecheck's end-to-end runs are
+// ctest entries in tools/CMakeLists.txt and tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "analysis/driver.h"
-#include "checker/trace_io.h"
 #include "models/properties.h"
 #include "models/testbench.h"
-#include "sim/clock.h"
-#include "sim/kernel.h"
-#include "sim/signal.h"
-#include "sim/vcd.h"
 #include "support/json.h"
 
 namespace repro {
 namespace {
-
-// ---- Trace CSV ----------------------------------------------------------------
-
-TEST(TraceIo, ParsesWellFormedTrace) {
-  auto trace = checker::parse_trace_csv(
-      "time,ds,out\n"
-      "10,1,0\n"
-      "# comment line\n"
-      "20,0,0x2A\n");
-  ASSERT_TRUE(trace.ok()) << trace.error().to_string();
-  ASSERT_EQ(trace.value().size(), 2u);
-  EXPECT_EQ(trace.value()[0].time, 10u);
-  EXPECT_EQ(trace.value()[0].values.value("ds"), 1u);
-  EXPECT_EQ(trace.value()[1].time, 20u);
-  EXPECT_EQ(trace.value()[1].values.value("out"), 42u);
-}
-
-TEST(TraceIo, RejectsBadHeader) {
-  EXPECT_FALSE(checker::parse_trace_csv("ds,out\n10,1,0\n").ok());
-  EXPECT_FALSE(checker::parse_trace_csv("time\n10\n").ok());
-  EXPECT_FALSE(checker::parse_trace_csv("").ok());
-}
-
-TEST(TraceIo, RejectsWrongArity) {
-  EXPECT_FALSE(checker::parse_trace_csv("time,a\n10,1,2\n").ok());
-  EXPECT_FALSE(checker::parse_trace_csv("time,a,b\n10,1\n").ok());
-}
-
-TEST(TraceIo, RejectsNonIncreasingTime) {
-  EXPECT_FALSE(checker::parse_trace_csv("time,a\n10,1\n10,0\n").ok());
-  EXPECT_FALSE(checker::parse_trace_csv("time,a\n20,1\n10,0\n").ok());
-}
-
-TEST(TraceIo, RejectsMalformedValues) {
-  EXPECT_FALSE(checker::parse_trace_csv("time,a\nten,1\n").ok());
-  EXPECT_FALSE(checker::parse_trace_csv("time,a\n10,0xZZ\n").ok());
-}
-
-TEST(TraceIo, RejectsDuplicateColumns) {
-  // Every row shares the header as its key table, so a repeated name would
-  // leave its second column unreadable.
-  EXPECT_FALSE(checker::parse_trace_csv("time,a,b,a\n10,1,2,3\n").ok());
-}
-
-TEST(TraceIo, RoundTrips) {
-  const char* text =
-      "time,a,b\n"
-      "10,1,100\n"
-      "25,0,200\n";
-  auto first = checker::parse_trace_csv(text);
-  ASSERT_TRUE(first.ok());
-  const std::string serialized = checker::to_csv(first.value());
-  auto second = checker::parse_trace_csv(serialized);
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(second.value().size(), 2u);
-  EXPECT_EQ(second.value()[1].time, 25u);
-  EXPECT_EQ(second.value()[1].values.value("b"), 200u);
-}
 
 // ---- psl_lint JSON report -------------------------------------------------------
 
@@ -122,67 +63,18 @@ TEST(PslLintAnalysisJson, SuiteReportRoundTripsThroughJsonReader) {
   EXPECT_EQ(doc->find("totals")->find("warnings")->number, 0);
 }
 
-// ---- VCD writer ----------------------------------------------------------------
+// ---- tracecheck inputs ---------------------------------------------------------
 
-TEST(Vcd, EmitsHeaderInitialValuesAndChanges) {
-  sim::Kernel kernel;
-  sim::Signal<bool> flag(kernel, "flag", false);
-  sim::Signal<uint64_t> data(kernel, "data", 3);
-  std::ostringstream os;
-  sim::VcdWriter vcd(kernel, os, "duv");
-  vcd.add(flag);
-  vcd.add(data, 8);
-  vcd.start_dump();
-
-  kernel.schedule_at(10, [&] { flag.write(true); });
-  kernel.schedule_at(20, [&] { data.write(0b101); });
-  kernel.run_all();
-
-  const std::string out = os.str();
-  EXPECT_NE(out.find("$timescale 1ns $end"), std::string::npos);
-  EXPECT_NE(out.find("$scope module duv $end"), std::string::npos);
-  EXPECT_NE(out.find("$var wire 1 ! flag $end"), std::string::npos);
-  EXPECT_NE(out.find("$var wire 8 \" data $end"), std::string::npos);
-  // Initial values inside $dumpvars.
-  EXPECT_NE(out.find("0!"), std::string::npos);
-  EXPECT_NE(out.find("b11 \""), std::string::npos);
-  // Timestamped changes.
-  EXPECT_NE(out.find("#10\n1!"), std::string::npos);
-  EXPECT_NE(out.find("#20\nb101 \""), std::string::npos);
-  EXPECT_EQ(vcd.changes_written(), 4u);  // 2 initial + 2 changes
-}
-
-TEST(Vcd, SameTimestampWrittenOnce) {
-  sim::Kernel kernel;
-  sim::Signal<bool> a(kernel, "a", false);
-  sim::Signal<bool> b(kernel, "b", false);
-  std::ostringstream os;
-  sim::VcdWriter vcd(kernel, os);
-  vcd.add(a);
-  vcd.add(b);
-  vcd.start_dump();
-  kernel.schedule_at(10, [&] {
-    a.write(true);
-    b.write(true);
-  });
-  kernel.run_all();
-  const std::string out = os.str();
-  // Only one "#10" marker for both changes.
-  EXPECT_EQ(out.find("#10"), out.rfind("#10"));
-}
-
-TEST(Vcd, WorksWithClockedDesign) {
-  sim::Kernel kernel;
-  sim::Clock clock(kernel, "clk", 10, 0);
-  sim::Signal<uint64_t> counter(kernel, "counter", 0);
-  clock.on_posedge([&] { counter.write(counter.read() + 1); });
-  std::ostringstream os;
-  sim::VcdWriter vcd(kernel, os);
-  vcd.add(counter, 16);
-  vcd.start_dump();
-  kernel.run(50);
-  EXPECT_GE(vcd.changes_written(), 6u);  // initial + 5-6 increments
-  EXPECT_NE(os.str().find("#40"), std::string::npos);
+// tracelog_tracecheck compares tracecheck's counts on a recorded DES56 log
+// with the recording run's report, so its property file must be the suite.
+TEST(TracecheckData, Des56PropertyFileIsTheSuiteText) {
+  std::ifstream in(REPRO_TEST_DATA_DIR "/des56.psl");
+  ASSERT_TRUE(in);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string suite = models::kDes56PropertyText;
+  suite.erase(0, suite.find_first_not_of('\n'));  // the raw string's opener
+  EXPECT_EQ(text.str(), suite);
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -300,6 +302,113 @@ TEST(TracelogErrors, MalformedJsonlRecordIsCorrupt) {
   auto err = reader.open(path);
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->kind, TraceError::Kind::kCorrupt);
+}
+
+// Reads `path` and returns the rejection kind (fails the test on success).
+TraceError::Kind reject_kind(const std::string& path) {
+  TraceReader reader;
+  std::optional<TraceError> err = reader.open(path);
+  EXPECT_TRUE(err.has_value()) << path << " was accepted";
+  return err.has_value() ? err->kind : TraceError::Kind::kIo;
+}
+
+TEST(TracelogErrors, RecordWithoutRowIsCorrupt) {
+  // Binary: the has-observables flag is clear on a record of a log whose
+  // dictionary is non-empty, so checkers would find no column to read.
+  tlm::RecordStreamMeta meta = test_meta();
+  meta.observables = *test_keys();
+  std::vector<tlm::TransactionRecord> records = test_records(3);
+  records[1].observables = support::Snapshot();
+  const std::string path = temp_path("norow.rtabv");
+  {
+    TraceWriter writer(path, meta);
+    for (const tlm::TransactionRecord& r : records) writer.append(r);
+    ASSERT_TRUE(writer.finish()) << writer.error();
+  }
+  EXPECT_EQ(reject_kind(path), TraceError::Kind::kCorrupt);
+
+  // Without a dictionary, rowless records are the whole stream and valid.
+  const std::string bare = temp_path("bare.rtabv");
+  {
+    TraceWriter writer(bare, test_meta());
+    writer.append(records[1]);
+    ASSERT_TRUE(writer.finish()) << writer.error();
+  }
+  TraceReader reader;
+  EXPECT_FALSE(reader.open(bare).has_value());
+}
+
+const char kJsonlMeta[] =
+    "{\"schema_version\":1,\"design\":\"DES56\",\"level\":\"TLM-AT\","
+    "\"clock_period_ns\":10,\"observables\":[\"ds\",\"rdy\"]}\n";
+
+std::string jsonl_record(uint64_t end, const std::string& observables) {
+  return "{\"start\":" + std::to_string(end) + ",\"end\":" +
+         std::to_string(end) +
+         ",\"command\":0,\"response\":0,\"address\":0,\"data\":[]" +
+         observables + "}\n";
+}
+
+TEST(TracelogErrors, JsonlRecordWithoutRowIsCorrupt) {
+  const std::string path = temp_path("norow.jsonl");
+  spit(path, kJsonlMeta +
+                 jsonl_record(10, ",\"observables\":{\"ds\":1,\"rdy\":0}") +
+                 jsonl_record(20, ""));
+  EXPECT_EQ(reject_kind(path), TraceError::Kind::kCorrupt);
+}
+
+TEST(TracelogErrors, JsonlRecordMissingObservableIsCorrupt) {
+  // Dropping a name must not read its column as 0.
+  const std::string path = temp_path("partialrow.jsonl");
+  spit(path, kJsonlMeta + jsonl_record(10, ",\"observables\":{\"ds\":1}"));
+  EXPECT_EQ(reject_kind(path), TraceError::Kind::kCorrupt);
+  // Repeating one name does not make up for the other.
+  spit(path, kJsonlMeta +
+                 jsonl_record(10, ",\"observables\":{\"ds\":1,\"ds\":0}"));
+  EXPECT_EQ(reject_kind(path), TraceError::Kind::kCorrupt);
+}
+
+TEST(TracelogErrors, JsonlNonUnsignedFieldIsCorrupt) {
+  // Integer fields take plain unsigned tokens only: a negative, fractional
+  // or exponent number is refused, never cast (-10 ns would read as
+  // 2^64 - 10).
+  const std::string path = temp_path("signed.jsonl");
+  std::string meta = kJsonlMeta;
+  meta.replace(meta.find(":10,"), 4, ":-10,");
+  spit(path, meta);
+  EXPECT_EQ(reject_kind(path), TraceError::Kind::kCorrupt);
+  const std::string row = ",\"observables\":{\"ds\":1,\"rdy\":0}";
+  std::string fractional = jsonl_record(10, row);
+  fractional.replace(fractional.find("\"end\":10"), 8, "\"end\":1.5");
+  spit(path, kJsonlMeta + fractional);
+  EXPECT_EQ(reject_kind(path), TraceError::Kind::kCorrupt);
+  spit(path, kJsonlMeta +
+                 jsonl_record(10, ",\"observables\":{\"ds\":-1,\"rdy\":0}"));
+  EXPECT_EQ(reject_kind(path), TraceError::Kind::kCorrupt);
+  spit(path, kJsonlMeta + jsonl_record(10, row));
+  TraceReader reader;
+  EXPECT_FALSE(reader.open(path).has_value());
+}
+
+TEST(TracelogErrors, DecreasingEndIsCorrupt) {
+  std::vector<tlm::TransactionRecord> records = test_records(6);
+  std::swap(records[2], records[4]);
+  for (const std::string name : {"backwards.rtabv", "backwards.jsonl"}) {
+    const std::string path = temp_path(name);
+    {
+      TraceWriter writer(path, test_meta());
+      for (const tlm::TransactionRecord& r : records) writer.append(r);
+      ASSERT_TRUE(writer.finish()) << writer.error();
+    }
+    EXPECT_EQ(reject_kind(path), TraceError::Kind::kCorrupt) << name;
+  }
+  // Equal end times are in order (transactions may complete together).
+  const std::string path = temp_path("ties.jsonl");
+  spit(path, kJsonlMeta +
+                 jsonl_record(10, ",\"observables\":{\"ds\":1,\"rdy\":0}") +
+                 jsonl_record(10, ",\"observables\":{\"rdy\":1,\"ds\":0}"));
+  TraceReader reader;
+  EXPECT_FALSE(reader.open(path).has_value());
 }
 
 TEST(TracelogErrors, KindStringsAreDistinct) {
